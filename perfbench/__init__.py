@@ -1,0 +1,6 @@
+"""The repo benchmark: four workloads, end-to-end and per-layer metrics.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``python3 perfbench/selftest.py``
+checks the benchmark itself at a small size.
+"""
