@@ -1,8 +1,7 @@
-"""Setup shim for legacy editable installs (``pip install -e . --no-use-pep517``).
+"""Package metadata for ``repro`` (install with ``pip install -e .``).
 
-The canonical metadata lives in ``pyproject.toml``; this file only exists so
-environments with an older setuptools (without ``bdist_wheel`` / PEP 660
-editable support) can still do an editable install.
+This file is the project's only packaging metadata (there is no
+``pyproject.toml``).  It installs the ``repro`` package from ``src/``.
 """
 
 from setuptools import find_packages, setup

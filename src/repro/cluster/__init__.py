@@ -14,8 +14,9 @@ plans compile once fleet-wide.  It layers on :mod:`repro.serve`:
   stragglers, transient compile failures, store corruption) with JSON
   replay, plus the recovery semantics: retry/backoff policies, graceful
   degradation by tenant priority, and availability metrics;
-* :mod:`repro.cluster.simulator` — the fleet discrete-event loop, including
-  prefill/decode disaggregation with a hand-off queue and crash recovery
+* :mod:`repro.cluster.simulator` — the fleet plugged into the serving event
+  loop of :mod:`repro.serve.simulator`: routing, admission, autoscaling,
+  prefill/decode disaggregation with a hand-off queue, and crash recovery
   with balanced request accounting;
 * :mod:`repro.cluster.scenarios` — named fleet studies registered alongside
   the single-engine serving scenarios, including two chaos scenarios.

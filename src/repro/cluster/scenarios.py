@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar
 
+from repro.api.service import Session
 from repro.arch.chip import SystemConfig
-from repro.arch.presets import scaled_system
 from repro.cluster.autoscaler import AutoscalerConfig
 from repro.cluster.faults import (
     FAULT_COMPILE_FAILURE,
@@ -49,16 +49,9 @@ from repro.cluster.simulator import (
     DisaggregationConfig,
 )
 from repro.cluster.tenancy import TenantSpec
-from repro.serve.batching import StepLatencyModel
 from repro.serve.metrics import SLOSpec
-from repro.serve.scenarios import (
-    ServingScenario,
-    get_scenario,
-    make_serving_session,
-    register_scenario,
-)
+from repro.serve.scenarios import ServingScenario, drive_scenario, register_scenario
 from repro.serve.workload import RequestShape, bursty_trace, diurnal_trace, poisson_trace
-from repro.api.service import Session
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
@@ -369,47 +362,37 @@ def simulate_cluster_scenario(
             for the duration of the run), per-engine iteration spans,
             request lifecycle phases, and cluster scale/fault instants.
     """
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    system = system or scaled_system(num_cores=32, num_chips=1)
-    session = session or make_serving_session()
-    previous_tracer = session.tracer
-    if tracer is not None:
-        session.tracer = tracer
-    latency_model = StepLatencyModel(
-        session,
-        system,
-        policy,
-        buckets=scenario.buckets,
-        num_layers=num_layers,
-        use_simulator=use_simulator,
-        tracer=tracer,
+
+    def make_simulator(scenario, latency_model) -> ClusterSimulator:
+        defaults = (
+            scenario
+            if isinstance(scenario, ClusterScenario)
+            else ClusterScenario  # fleet defaults for plain serving scenarios
+        )
+        return ClusterSimulator(
+            latency_model,
+            num_engines=(
+                num_engines if num_engines is not None else defaults.num_engines
+            ),
+            router=router if router is not None else defaults.router,
+            autoscaler=defaults.autoscaler if autoscaler is _UNSET else autoscaler,
+            tenants=defaults.tenants if tenants is _UNSET else tenants,
+            disaggregation=(
+                defaults.disaggregation if disaggregation is _UNSET else disaggregation
+            ),
+            faults=defaults.faults if faults is _UNSET else faults,
+            retry_policy=(
+                defaults.retry_policy if retry_policy is _UNSET else retry_policy
+            ),
+            degradation=(
+                defaults.degradation if degradation is _UNSET else degradation
+            ),
+            tracer=tracer,
+        )
+
+    return drive_scenario(
+        scenario, make_simulator,
+        system=system, policy=policy, num_requests=num_requests, seed=seed,
+        rate_scale=rate_scale, session=session, num_layers=num_layers,
+        use_simulator=use_simulator, prewarm=prewarm, tracer=tracer,
     )
-    defaults = (
-        scenario
-        if isinstance(scenario, ClusterScenario)
-        else ClusterScenario  # fleet defaults for plain serving scenarios
-    )
-    simulator = ClusterSimulator(
-        latency_model,
-        num_engines=num_engines if num_engines is not None else defaults.num_engines,
-        router=router if router is not None else defaults.router,
-        autoscaler=defaults.autoscaler if autoscaler is _UNSET else autoscaler,
-        tenants=defaults.tenants if tenants is _UNSET else tenants,
-        disaggregation=(
-            defaults.disaggregation if disaggregation is _UNSET else disaggregation
-        ),
-        faults=defaults.faults if faults is _UNSET else faults,
-        retry_policy=(
-            defaults.retry_policy if retry_policy is _UNSET else retry_policy
-        ),
-        degradation=defaults.degradation if degradation is _UNSET else degradation,
-        prewarm=prewarm,
-        tracer=tracer,
-    )
-    trace = scenario.trace(num_requests=num_requests, seed=seed, rate_scale=rate_scale)
-    try:
-        return simulator.run(trace, slo=scenario.slo)
-    finally:
-        if tracer is not None:
-            session.tracer = previous_tracer

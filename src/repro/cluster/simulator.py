@@ -4,15 +4,19 @@
 fleet of :class:`~repro.serve.engine.EngineCore` engines that all share one
 :class:`~repro.serve.batching.StepLatencyModel` — and therefore one compile
 :class:`~repro.api.Session` — so every bucketed step plan compiles exactly
-once fleet-wide no matter how many engines serve it.  The event loop is the
-same heapq discrete-event engine the single-engine simulator uses, extended
-with four event kinds:
+once fleet-wide no matter how many engines serve it.
 
-* **arrival** — admission control (per-tenant token buckets), then the
-  router picks an engine;
-* **step done** — one engine's iteration completes; finished requests are
-  recorded, prefill hand-offs are forwarded to the decode pool, and the
-  engine starts its next iteration;
+The event loop is not here: :mod:`repro.serve.simulator` owns it.
+:class:`ClusterSimulator` subclasses
+:class:`~repro.serve.simulator.ServingSimulator` and plugs the fleet into
+that loop's hooks.  The loop owns two event kinds and the fleet adds four,
+six in all:
+
+* **arrival** (loop) — admission control (per-tenant token buckets) and
+  load shedding, then the router picks an engine;
+* **step done** (loop) — one engine's iteration completes; finished
+  requests are recorded, prefill hand-offs are forwarded to the decode
+  pool, and the engine starts its next iteration;
 * **engine ready** — a scaled-up engine finishes warming (compiling /
   loading its bucket plans) and starts taking traffic;
 * **hand-off** — a prefilled request reaches the decode pool (after the
@@ -21,7 +25,8 @@ with four event kinds:
   an engine crash (queued requests re-route immediately; admitted and
   in-flight requests lose their progress and retry with backoff under the
   :class:`~repro.cluster.faults.RetryPolicy`, or are recorded as *failed*
-  when the budget is gone), a slowdown window (subsequent iterations of the
+  when the budget is gone; the crashed iteration's step-done event is
+  voided in place), a slowdown window (subsequent iterations of the
   straggler stretch by the fault's factor), a transient compile failure
   (armed on the shared latency model, which serves the closest
   already-compiled bucket plan on the next cache miss), or artifact-store
@@ -30,24 +35,23 @@ with four event kinds:
 * **retry** — a request whose work a crash destroyed returns from its
   backoff delay and is routed like a fresh arrival.
 
-The autoscaler is evaluated after every arrival batch, step completion, and
-fault — a crashed engine is capacity pressure like any other, so the fleet
-replaces it subject to cooldown.  Request accounting always balances:
-``completed + rejected + failed == arrivals``, with shed and failed
-requests recorded, never silently dropped.  Everything remains a pure
-function of the seeded trace, the fault schedule, and the configuration,
-so cluster metrics — including :class:`AvailabilityMetrics` — are
-bit-reproducible (give each run a fresh :class:`StepLatencyModel` when the
-schedule injects compile failures, since fallbacks depend on what has
-compiled so far).
+The autoscaler is evaluated after every arrival batch, step completion,
+engine-ready event, fault, and retry — a crashed engine is capacity
+pressure like any other, so the fleet replaces it subject to cooldown.
+Request accounting always balances: ``completed + rejected + failed ==
+arrivals``, with shed and failed requests recorded, never silently
+dropped.  Everything remains a pure function of the seeded trace, the fault
+schedule, and the configuration, so cluster metrics — including
+:class:`AvailabilityMetrics` — are bit-reproducible (give each run a fresh
+:class:`StepLatencyModel` when the schedule injects compile failures, since
+fallbacks depend on what has compiled so far).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.cluster.autoscaler import (
     SCALE_ADD,
@@ -77,23 +81,22 @@ from repro.serve.batching import (
     BatchBuckets,
     RequestState,
     StepLatencyModel,
-    make_states,
 )
 from repro.serve.engine import EngineCore
 from repro.serve.metrics import RequestRecord, ServingMetrics, SLOSpec, compute_metrics
-from repro.serve.simulator import ServingResult
+from repro.serve.simulator import EventLoop, ServingResult, ServingSimulator
 from repro.serve.workload import DIFFUSION, ArrivalTrace, RequestSpec
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
-_ARRIVAL = 0
-_STEP_DONE = 1
+# Fleet event kinds, numbered after the loop's own ARRIVAL and STEP_DONE.
 _ENGINE_READY = 2
 _HANDOFF = 3
 _FAULT = 4
 _RETRY = 5
+_VOIDED = 6  # a crashed engine's step-done event, voided in place
 
 #: Engine roles within a fleet.
 ROLE_COLOCATED = "colocated"
@@ -275,19 +278,16 @@ class ClusterResult(ServingResult):
         }
 
 
-@dataclass
-class _Engine:
-    """Fleet-internal engine bookkeeping (core + lifecycle)."""
+class _Engine(EngineCore):
+    """A fleet engine: an :class:`EngineCore` plus its role and lifecycle."""
 
-    core: EngineCore
     role: str
     added_time: float
     ready_time: float
-    draining: bool = False
+    draining = False
     removed_time: float | None = None
-    crashed: bool = False
-    slow_until: float = 0.0
-    slow_factor: float = 1.0
+    slow_until = 0.0
+    slow_factor = 1.0
 
     @property
     def active(self) -> bool:
@@ -295,15 +295,395 @@ class _Engine:
 
     def view(self) -> EngineView:
         return EngineView(
-            engine_id=self.core.engine_id,
-            queue_depth=self.core.queue_depth,
-            running=self.core.running,
-            in_flight_tokens=self.core.in_flight_tokens(),
+            engine_id=self.engine_id,
+            queue_depth=self.queue_depth,
+            running=self.running,
+            in_flight_tokens=self.in_flight_tokens(),
         )
 
 
-class ClusterSimulator:
+class _FleetLoop(EventLoop):
+    """One fleet run: the shared event loop with the fleet plugged in.
+
+    Engine ids come from the list length and no engine is ever deleted, so
+    ``self.engines[i]`` is engine ``i`` and the list is in id order.
+    """
+
+    engines: list[_Engine]
+    # Faults alone don't extend the makespan: a crash injected after the
+    # last completion destroys nothing and should not stretch utilization
+    # or goodput denominators.
+    untimed_kinds = frozenset({_FAULT})
+
+    def __init__(
+        self, sim: "ClusterSimulator", trace: ArrivalTrace, slo: SLOSpec | None
+    ) -> None:
+        super().__init__(trace, [])
+        self.sim = sim
+        self.slo = slo
+        self.tracer = sim.tracer
+        self.admission = AdmissionController(sim.tenants)
+        self.autoscaler = None
+        if sim.autoscaler_config is not None:
+            self.autoscaler = Autoscaler(sim.autoscaler_config)
+            self.settle = self.autoscale
+        self.rejected: list[RequestSpec] = []
+        self.failed: list[RequestSpec] = []
+        self.scale_events: list[ScaleEvent] = []
+        self.avail: Counter[str] = Counter()  # AvailabilityMetrics counts
+        # Open crash watches: (crash time, ids of retried requests still
+        # owed a completion or failure).  When a set empties, the crash has
+        # recovered: its recovery time is recorded and the watch closes.
+        self.crash_watches: list[tuple[float, set[int]]] = []
+        self.recovery_times: list[float] = []
+        self.budget_left = sim.retry_policy.retry_budget  # None = unbounded
+        self.fallback_base = sim.latency_model.stats.get("fallbacks", 0)
+        self.store_base = sim.latency_model.session.stats.store_hits
+
+        # Seed the initial fleet, ready at t=0 (prewarmed before traffic).
+        pools = sim.disaggregation
+        roles = (
+            [ROLE_PREFILL] * pools.prefill_engines + [ROLE_DECODE] * pools.decode_engines
+            if pools is not None
+            else [ROLE_COLOCATED] * sim.num_engines
+        )
+        for role in roles:
+            self.add_engine(role, 0.0, 0.0)
+        for fault in sim.faults or ():
+            self.push(fault.time, _FAULT, fault)
+
+    # ------------------------------------------------------------- the fleet
+    def add_engine(self, role: str, added: float, ready: float) -> _Engine:
+        engine = _Engine(
+            self.sim.latency_model,
+            self.sim.buckets,
+            engine_id=len(self.engines),
+            phase=_ROLE_PHASES[role],
+            tracer=self.tracer,
+        )
+        engine.role, engine.added_time, engine.ready_time = role, added, ready
+        self.engines.append(engine)
+        return engine
+
+    def active_fleet(self) -> list[_Engine]:
+        return [engine for engine in self.engines if engine.active]
+
+    def instant(self, name: str, now: float, **attrs: Any) -> None:
+        """Place an instant on the ``cluster`` trace track (when tracing)."""
+        if self.tracer is not None:
+            self.tracer.instant(
+                name, sim_time=now, category="cluster", track="cluster", **attrs
+            )
+
+    def note_scale(self, action: str, engine: _Engine, now: float, reason: str) -> None:
+        event = ScaleEvent(
+            time=now,
+            action=action,
+            engine_id=engine.engine_id,
+            fleet_size=len(self.active_fleet()),
+            reason=reason,
+        )
+        self.scale_events.append(event)
+        self.instant(
+            f"scale-{action}",
+            now,
+            engine=event.engine_id,
+            fleet_size=event.fleet_size,
+            reason=reason,
+        )
+
+    def role_for(self, state: RequestState) -> str:
+        if self.sim.disaggregation is None:
+            return ROLE_COLOCATED
+        if state.spec.kind != DIFFUSION and state.prefill_pending:
+            return ROLE_PREFILL
+        return ROLE_DECODE
+
+    def dispatch(self, state: RequestState, now: float) -> _Engine:
+        """Route one request to an engine's wait queue (no kick)."""
+        role = self.role_for(state)
+        candidates = [
+            engine
+            for engine in self.engines
+            if engine.active and engine.ready_time <= now and engine.role == role
+        ]
+        if not candidates:
+            # Every engine of the pool is still warming: park the request
+            # on the earliest-ready active engine.  It cannot happen with a
+            # ready initial fleet and drain-guarded scale-downs, but stay
+            # deterministic if it does.
+            pool = [engine for engine in self.active_fleet() if engine.role == role]
+            if not pool:
+                raise ConfigurationError(f"no active engine can serve role {role!r}")
+            chosen = min(pool, key=lambda e: (e.ready_time, e.engine_id))
+        else:
+            router = self.sim.router
+            choice = router.choose(state, [e.view() for e in candidates], now)
+            valid = {engine.engine_id for engine in candidates}
+            if choice not in valid:
+                raise ConfigurationError(
+                    f"router {router.name!r} chose engine {choice}, "
+                    f"not one of {sorted(valid)}"
+                )
+            chosen = self.engines[choice]
+        chosen.enqueue(state, now)
+        return chosen
+
+    def redispatch(self, states: list[RequestState], now: float) -> dict[int, _Engine]:
+        """Re-route requests off a drained or crashed engine.
+
+        The one requeue path both scale-down drains and crashes use: states
+        keep their original arrival times (queue-wait metrics charge from
+        first arrival, with no double-counting) and are routed exactly like
+        fresh arrivals.  Returns the touched engines for the caller to kick.
+        """
+        touched: dict[int, _Engine] = {}
+        for state in states:
+            engine = self.dispatch(state, now)
+            touched[engine.engine_id] = engine
+            self.avail["num_redispatches"] += 1
+        return touched
+
+    def note_resolved(self, state: RequestState, now: float) -> None:
+        """Settle crash-recovery watches when a lost request resolves."""
+        request_id = state.spec.request_id
+        still_open = []
+        for crash_time, pending in self.crash_watches:
+            pending.discard(request_id)
+            if pending:
+                still_open.append((crash_time, pending))
+            else:
+                self.recovery_times.append(now - crash_time)
+        self.crash_watches = still_open
+
+    def fail_request(self, state: RequestState, now: float) -> None:
+        """Record a request as failed (retry budget exhausted)."""
+        self.failed.append(state.spec)
+        if self.crash_watches:
+            self.note_resolved(state, now)
+        if self.autoscaler is not None:
+            self.autoscaler.observe(False)  # a failure always misses its SLO
+
+    # ------------------------------------------------------------------ hooks
+    def arrive(self, states: list[RequestState], now: float) -> None:
+        """Admission, shedding, and routing for simultaneous arrivals."""
+        degradation = self.sim.degradation
+        if degradation is not None:
+            ready_now = [e for e in self.active_fleet() if e.ready_time <= now]
+            avg_queue = sum(e.queue_depth for e in ready_now) / max(1, len(ready_now))
+        else:
+            avg_queue = 0.0
+        touched: dict[int, _Engine] = {}
+        for state in states:
+            tenant = state.spec.tenant
+            if not self.admission.admit(tenant, now):
+                self.rejected.append(state.spec)
+                continue
+            if degradation is not None and degradation.should_shed(tenant, avg_queue):
+                # Graceful degradation: shed at the front door by tenant
+                # priority before queues collapse SLOs fleet-wide.  Shed
+                # arrivals count as rejections.
+                self.rejected.append(state.spec)
+                self.avail["num_shed"] += 1
+                self.instant("shed", now, request=state.spec.request_id, tenant=tenant)
+                continue
+            engine = self.dispatch(state, now)
+            touched[engine.engine_id] = engine
+        for engine in touched.values():
+            self.kick(engine, now)
+
+    def kick(self, engine: _Engine, now: float) -> bool:
+        """Start the engine's next iteration, or finalize a drain."""
+        if engine.removed_time is not None or engine.busy or engine.ready_time > now:
+            return False
+        # A straggler window stretches every iteration *started* inside it;
+        # an iteration already in flight when the fault fires finishes at
+        # its original latency.
+        engine.latency_scale = engine.slow_factor if now < engine.slow_until else 1.0
+        if super().kick(engine, now):
+            return True
+        if engine.draining and not engine.has_work():
+            engine.removed_time = now
+            self.note_scale(SCALE_REMOVE, engine, now, "drained empty")
+        return False
+
+    def finished(self, state: RequestState, record: RequestRecord, now: float) -> None:
+        if self.crash_watches:
+            self.note_resolved(state, now)
+        if self.autoscaler is not None:
+            slo = self.admission.slo_for(record.spec.tenant) or self.slo
+            self.autoscaler.observe(slo.met_by(record) if slo is not None else True)
+
+    def handoff(self, state: RequestState, now: float) -> None:
+        self.push(now + self.sim.disaggregation.handoff_delay, _HANDOFF, state)
+
+    def handle(self, kind: int, payload: Any, now: float) -> None:
+        if kind == _FAULT:
+            self.apply_fault(payload, now)
+        elif kind == _ENGINE_READY:
+            self.rebalance(payload, now)
+        elif kind == _RETRY:
+            # A crash-lost request returns from its backoff delay and is
+            # routed like a fresh arrival (with its progress reset).
+            self.avail["num_redispatches"] += 1
+            self.kick(self.dispatch(payload, now), now)
+        else:
+            if kind == _HANDOFF:
+                self.kick(self.dispatch(payload, now), now)
+            return  # hand-offs and voided completions don't autoscale
+        if self.settle is not None:
+            self.settle(now)
+
+    # --------------------------------------------------------- fleet events
+    def rebalance(self, ready: _Engine, now: float) -> None:
+        """A scaled-up engine just warmed: re-route the queued backlog.
+
+        Queued requests are not yet admitted into any batch, so the front
+        door rebalances them across the grown fleet in FCFS order — without
+        this, a backlog that triggered the scale-up would stay pinned to the
+        engines it queued on and the new engine would idle.
+        """
+        pending: list[RequestState] = []
+        for engine in self.engines:
+            if engine.active and engine.ready_time <= now:
+                pending.extend(engine.batcher.drain_waiting())
+        pending.sort(key=lambda s: (s.spec.arrival_time, s.spec.request_id))
+        touched = {ready.engine_id: ready}
+        for state in pending:
+            chosen = self.dispatch(state, now)
+            touched[chosen.engine_id] = chosen
+        for engine in touched.values():
+            self.kick(engine, now)
+
+    def apply_fault(self, fault: Any, now: float) -> None:
+        if fault.kind == FAULT_ENGINE_CRASH:
+            self.apply_crash(fault, now)
+        elif fault.kind == FAULT_ENGINE_SLOWDOWN:
+            self.apply_slowdown(fault, now)
+        elif fault.kind == FAULT_COMPILE_FAILURE:
+            self.sim.latency_model.inject_compile_failures(fault.count)
+            self.avail["num_compile_faults"] += fault.count
+            self.instant("fault-compile-failure", now, count=fault.count)
+        else:  # FAULT_STORE_CORRUPTION
+            store = self.sim.latency_model.session.store
+            if store is not None and store.corrupt_entry(fault.target):
+                self.avail["num_store_corruptions"] += 1
+            self.instant("fault-store-corruption", now, target=fault.target)
+
+    def apply_crash(self, fault: Any, now: float) -> None:
+        pool = self.active_fleet()
+        # Never kill the last engine able to serve a role — the fleet (like
+        # a real one behind a health-checked load balancer) keeps a minimum
+        # of one replica per role.
+        eligible = [
+            engine
+            for engine in pool
+            if sum(1 for other in pool if other.role == engine.role) > 1
+        ]
+        if not eligible:
+            return
+        victim = eligible[fault.target % len(eligible)]
+        victim.removed_time = now
+        if victim.busy:
+            # The in-flight iteration's work is lost: void its step-done
+            # event in place (same time and sequence, so the heap stays
+            # ordered; the voided event still counts toward the makespan).
+            heap = self.heap
+            for index, (time, sequence, _, _, engine) in enumerate(heap):
+                if engine is victim:
+                    heap[index] = (time, sequence, _VOIDED, None, None)
+                    break
+        self.avail["num_crashes"] += 1
+        self.note_scale(SCALE_CRASH, victim, now, "injected fault")
+        # Queued requests lost no work: re-route them immediately, no retry
+        # attempt consumed.
+        touched = self.redispatch(victim.batcher.drain_waiting(), now)
+        # Admitted and in-flight requests lost their progress: retry from
+        # scratch after a backoff, or fail when out of budget.
+        policy = self.sim.retry_policy
+        watch: set[int] = set()
+        for state in victim.batcher.drain_running():
+            out_of_budget = self.budget_left is not None and self.budget_left <= 0
+            if state.retries + 1 >= policy.max_attempts or out_of_budget:
+                self.fail_request(state, now)
+                continue
+            state.retries += 1
+            self.avail["num_retries"] += 1
+            if self.budget_left is not None:
+                self.budget_left -= 1
+            delay = policy.backoff_delay(state.retries, state.spec.request_id)
+            self.push(now + delay, _RETRY, state)
+            self.instant(
+                "retry",
+                now,
+                request=state.spec.request_id,
+                attempt=state.retries,
+                backoff=delay,
+            )
+            watch.add(state.spec.request_id)
+        if watch:
+            self.crash_watches.append((now, watch))
+        else:
+            self.recovery_times.append(0.0)  # nothing (left) to re-serve
+        for engine in touched.values():
+            self.kick(engine, now)
+
+    def apply_slowdown(self, fault: Any, now: float) -> None:
+        pool = self.active_fleet()
+        if not pool:
+            return
+        victim = pool[fault.target % len(pool)]
+        victim.slow_until = max(victim.slow_until, now + fault.duration)
+        victim.slow_factor = fault.factor
+        self.avail["num_slowdowns"] += 1
+        self.instant(
+            "fault-slowdown",
+            now,
+            engine=victim.engine_id,
+            factor=fault.factor,
+            duration=fault.duration,
+        )
+
+    def autoscale(self, now: float) -> None:
+        autoscaler = self.autoscaler
+        active = self.active_fleet()
+        total_waiting = sum(
+            engine.queue_depth for engine in active if engine.ready_time <= now
+        )
+        decision = autoscaler.decide(now, len(active), total_waiting)
+        if decision is None:
+            return
+        reason = (
+            f"avg_queue={total_waiting / max(1, len(active)):.3g}, "
+            f"attainment={autoscaler.attainment:.3g}"
+        )
+        if decision == "up":
+            engine = self.add_engine(
+                ROLE_COLOCATED, now, now + self.sim.autoscaler_config.warmup_delay
+            )
+            self.push(engine.ready_time, _ENGINE_READY, engine)
+            self.note_scale(SCALE_ADD, engine, now, reason)
+            return
+        # Scale down: drain the least-loaded *ready* engine, keeping at
+        # least one ready engine taking traffic.
+        ready = [engine for engine in active if engine.ready_time <= now]
+        if len(ready) < 2:
+            return
+        victim = min(ready, key=lambda e: (e.queue_depth + e.running, -e.engine_id))
+        victim.draining = True
+        self.note_scale(SCALE_DRAIN, victim, now, reason)
+        # Queued (unadmitted) requests re-route to the surviving fleet
+        # through the same requeue path a crash uses; admitted ones finish
+        # where they run.
+        for engine in self.redispatch(victim.batcher.drain_waiting(), now).values():
+            self.kick(engine, now)
+        self.kick(victim, now)  # finalizes immediately if already empty
+
+
+class ClusterSimulator(ServingSimulator):
     """Discrete-event simulation of a router-fronted fleet of engines.
+
+    :meth:`run` drives the serving event loop with the fleet plugged in.
 
     Args:
         latency_model: Bucketed step latencies, shared by every engine in
@@ -357,8 +737,7 @@ class ClusterSimulator:
             raise ConfigurationError(
                 "autoscaling disaggregated pools is not supported; pick one"
             )
-        self.latency_model = latency_model
-        self.buckets = buckets or latency_model.buckets
+        super().__init__(latency_model, buckets, tracer)
         self.num_engines = num_engines
         self.router = get_router(router) if isinstance(router, str) else router
         if not isinstance(self.router, RouterPolicy):
@@ -385,557 +764,42 @@ class ClusterSimulator:
                 f"got {degradation!r}"
             )
         self.degradation = degradation
-        self.tracer = tracer
 
     # ----------------------------------------------------------------- running
     def run(self, trace: ArrivalTrace, slo: SLOSpec | None = None) -> ClusterResult:
         """Serve every admitted request of ``trace``; return the fleet result."""
         if self.prewarm:
-            groups = sorted(
-                {(spec.model.lower(), spec.kind) for spec in trace.requests}
-            )
-            self.latency_model.prewarm(groups)
+            self.latency_model.prewarm(trace.groups)
+        return super().run(trace, slo)
 
-        engines: dict[int, _Engine] = {}
-        engine_ids = itertools.count()
-        sequence = itertools.count()
-        heap: list[tuple[float, int, int, object]] = []
-        admission = AdmissionController(self.tenants)
-        autoscaler = (
-            Autoscaler(self.autoscaler_config)
-            if self.autoscaler_config is not None
-            else None
-        )
-        records: list[RequestRecord] = []
-        rejected: list[RequestSpec] = []
-        failed: list[RequestSpec] = []
-        scale_events: list[ScaleEvent] = []
-        end_time = 0.0
-        policy = self.retry_policy
-        avail = {
-            "crashes": 0,
-            "slowdowns": 0,
-            "compile_faults": 0,
-            "store_corruptions": 0,
-            "retries": 0,
-            "redispatches": 0,
-            "shed": 0,
-        }
-        # Per applied crash: (crash time, ids of retried requests still
-        # owed a completion or failure).  When a set empties, the crash is
-        # recovered and its recovery time is recorded.
-        crash_watches: list[tuple[float, set[int]]] = []
-        recovery_times: list[float] = []
-        budget_left = policy.retry_budget  # None = unbounded
-        fallback_base = self.latency_model.stats.get("fallbacks", 0)
-        store_base = self.latency_model.session.stats.store_hits
-        tracer = self.tracer
+    def _event_loop(self, trace: ArrivalTrace, slo: SLOSpec | None) -> _FleetLoop:
+        return _FleetLoop(self, trace, slo)
 
-        def add_engine(role: str, added: float, ready: float) -> _Engine:
-            engine_id = next(engine_ids)
-            engine = _Engine(
-                core=EngineCore(
-                    self.latency_model,
-                    self.buckets,
-                    engine_id=engine_id,
-                    phase=_ROLE_PHASES[role],
-                    tracer=tracer,
-                ),
-                role=role,
-                added_time=added,
-                ready_time=ready,
-            )
-            engines[engine_id] = engine
-            return engine
-
-        def note_scale(event: ScaleEvent) -> None:
-            scale_events.append(event)
-            if tracer is not None:
-                tracer.instant(
-                    f"scale-{event.action}",
-                    sim_time=event.time,
-                    category="cluster",
-                    track="cluster",
-                    engine=event.engine_id,
-                    fleet_size=event.fleet_size,
-                    reason=event.reason,
-                )
-
-        # Seed the initial fleet, ready at t=0 (prewarmed before traffic).
-        if self.disaggregation is not None:
-            for _ in range(self.disaggregation.prefill_engines):
-                add_engine(ROLE_PREFILL, 0.0, 0.0)
-            for _ in range(self.disaggregation.decode_engines):
-                add_engine(ROLE_DECODE, 0.0, 0.0)
-        else:
-            for _ in range(self.num_engines):
-                add_engine(ROLE_COLOCATED, 0.0, 0.0)
-
-        for state in make_states(trace):
-            heapq.heappush(
-                heap, (state.spec.arrival_time, next(sequence), _ARRIVAL, state)
-            )
-        for fault in self.faults or ():
-            heapq.heappush(heap, (fault.time, next(sequence), _FAULT, fault))
-
-        def active_fleet() -> list[_Engine]:
-            return [e for e in engines.values() if e.active]
-
-        def dispatchable(role_needed: str | None, now: float) -> list[_Engine]:
-            return [
-                engine
-                for engine_id, engine in sorted(engines.items())
-                if engine.active
-                and engine.ready_time <= now
-                and (role_needed is None or engine.role == role_needed)
-            ]
-
-        def role_for(state: RequestState) -> str | None:
-            if self.disaggregation is None:
-                return ROLE_COLOCATED
-            if state.spec.kind != DIFFUSION and state.prefill_pending:
-                return ROLE_PREFILL
-            return ROLE_DECODE
-
-        def kick(engine: _Engine, now: float) -> None:
-            """Start the engine's next iteration, or finalize a drain."""
-            if engine.removed_time is not None or engine.core.busy:
-                return
-            if engine.ready_time > now:
-                return
-            # A straggler window stretches every iteration *started* inside
-            # it; an iteration already in flight when the fault fires
-            # finishes at its original latency.
-            engine.core.latency_scale = (
-                engine.slow_factor if now < engine.slow_until else 1.0
-            )
-            started = engine.core.start_iteration(now)
-            if started is not None:
-                batch, latency = started
-                heapq.heappush(
-                    heap,
-                    (
-                        now + latency,
-                        next(sequence),
-                        _STEP_DONE,
-                        (engine.core.engine_id, batch),
-                    ),
-                )
-            elif engine.draining and not engine.core.has_work():
-                engine.removed_time = now
-                note_scale(
-                    ScaleEvent(
-                        time=now,
-                        action=SCALE_REMOVE,
-                        engine_id=engine.core.engine_id,
-                        fleet_size=len(active_fleet()),
-                        reason="drained empty",
-                    )
-                )
-
-        def dispatch(state: RequestState, now: float) -> _Engine:
-            """Route one request to an engine's wait queue (no kick)."""
-            role_needed = role_for(state)
-            candidates = dispatchable(role_needed, now)
-            if not candidates:
-                # Every engine of the pool is still warming: park the
-                # request on the earliest-ready active engine.  It cannot
-                # happen with a ready initial fleet and drain-guarded
-                # scale-downs, but stay deterministic if it does.
-                pool = [
-                    e
-                    for e in active_fleet()
-                    if role_needed is None or e.role == role_needed
-                ]
-                if not pool:
-                    raise ConfigurationError(
-                        f"no active engine can serve role {role_needed!r}"
-                    )
-                chosen = min(pool, key=lambda e: (e.ready_time, e.core.engine_id))
-            else:
-                choice = self.router.choose(
-                    state, [engine.view() for engine in candidates], now
-                )
-                valid = {engine.core.engine_id for engine in candidates}
-                if choice not in valid:
-                    raise ConfigurationError(
-                        f"router {self.router.name!r} chose engine {choice}, "
-                        f"not one of {sorted(valid)}"
-                    )
-                chosen = engines[choice]
-            chosen.core.enqueue(state, now)
-            return chosen
-
-        def redispatch(
-            states: list[RequestState], now: float
-        ) -> dict[int, _Engine]:
-            """Re-route requests off a drained or crashed engine.
-
-            The one requeue path both scale-down drains and crashes use:
-            states keep their original arrival times (queue-wait metrics
-            charge from first arrival, with no double-counting) and are
-            routed exactly like fresh arrivals.  Returns the touched
-            engines for the caller to kick.
-            """
-            touched: dict[int, _Engine] = {}
-            for state in states:
-                engine = dispatch(state, now)
-                touched[engine.core.engine_id] = engine
-                avail["redispatches"] += 1
-            return touched
-
-        def note_resolved(state: RequestState, now: float) -> None:
-            """Settle crash-recovery watches when a lost request resolves."""
-            request_id = state.spec.request_id
-            for crash_time, pending in crash_watches:
-                if request_id in pending:
-                    pending.discard(request_id)
-                    if not pending:
-                        recovery_times.append(now - crash_time)
-
-        def fail_request(state: RequestState, now: float) -> None:
-            """Record a request as failed (retry budget exhausted)."""
-            failed.append(state.spec)
-            note_resolved(state, now)
-            if autoscaler is not None:
-                autoscaler.observe(False)  # a failure always misses its SLO
-
-        def apply_crash(fault, now: float) -> None:
-            nonlocal budget_left
-            pool = [e for _, e in sorted(engines.items()) if e.active]
-            # Never kill the last engine able to serve a role — the fleet
-            # (like a real one behind a health-checked load balancer) keeps
-            # a minimum of one replica per role.
-            eligible = [
-                engine
-                for engine in pool
-                if sum(1 for other in pool if other.role == engine.role) > 1
-            ]
-            if not eligible:
-                return
-            victim = eligible[fault.target % len(eligible)]
-            victim.crashed = True
-            victim.removed_time = now
-            avail["crashes"] += 1
-            note_scale(
-                ScaleEvent(
-                    time=now,
-                    action=SCALE_CRASH,
-                    engine_id=victim.core.engine_id,
-                    fleet_size=len(active_fleet()),
-                    reason="injected fault",
-                )
-            )
-            # Queued requests lost no work: re-route them immediately, no
-            # retry attempt consumed.
-            touched = redispatch(victim.core.batcher.drain_waiting(), now)
-            # Admitted and in-flight requests lost their progress: retry
-            # from scratch after a backoff, or fail when out of budget.
-            watch: set[int] = set()
-            for state in victim.core.batcher.drain_running():
-                out_of_budget = budget_left is not None and budget_left <= 0
-                if state.retries + 1 >= policy.max_attempts or out_of_budget:
-                    fail_request(state, now)
-                    continue
-                state.retries += 1
-                avail["retries"] += 1
-                if budget_left is not None:
-                    budget_left -= 1
-                delay = policy.backoff_delay(state.retries, state.spec.request_id)
-                heapq.heappush(
-                    heap, (now + delay, next(sequence), _RETRY, state)
-                )
-                if tracer is not None:
-                    tracer.instant(
-                        "retry",
-                        sim_time=now,
-                        category="cluster",
-                        track="cluster",
-                        request=state.spec.request_id,
-                        attempt=state.retries,
-                        backoff=delay,
-                    )
-                watch.add(state.spec.request_id)
-            if watch:
-                crash_watches.append((now, watch))
-            else:
-                recovery_times.append(0.0)  # nothing (left) to re-serve
-            for engine in touched.values():
-                kick(engine, now)
-
-        def apply_slowdown(fault, now: float) -> None:
-            pool = [e for _, e in sorted(engines.items()) if e.active]
-            if not pool:
-                return
-            victim = pool[fault.target % len(pool)]
-            victim.slow_until = max(victim.slow_until, now + fault.duration)
-            victim.slow_factor = fault.factor
-            avail["slowdowns"] += 1
-            if tracer is not None:
-                tracer.instant(
-                    "fault-slowdown",
-                    sim_time=now,
-                    category="cluster",
-                    track="cluster",
-                    engine=victim.core.engine_id,
-                    factor=fault.factor,
-                    duration=fault.duration,
-                )
-
-        def apply_corruption(fault) -> None:
-            store = self.latency_model.session.store
-            if store is not None and store.corrupt_entry(fault.target):
-                avail["store_corruptions"] += 1
-
-        def autoscale(now: float) -> None:
-            if autoscaler is None:
-                return
-            active = active_fleet()
-            total_waiting = sum(
-                engine.core.queue_depth
-                for engine in active
-                if engine.ready_time <= now
-            )
-            decision = autoscaler.decide(now, len(active), total_waiting)
-            if decision is None:
-                return
-            config = self.autoscaler_config
-            reason = (
-                f"avg_queue={total_waiting / max(1, len(active)):.3g}, "
-                f"attainment={autoscaler.attainment:.3g}"
-            )
-            if decision == "up":
-                engine = add_engine(
-                    ROLE_COLOCATED, now, now + config.warmup_delay
-                )
-                heapq.heappush(
-                    heap,
-                    (
-                        engine.ready_time,
-                        next(sequence),
-                        _ENGINE_READY,
-                        engine.core.engine_id,
-                    ),
-                )
-                note_scale(
-                    ScaleEvent(
-                        time=now,
-                        action=SCALE_ADD,
-                        engine_id=engine.core.engine_id,
-                        fleet_size=len(active_fleet()),
-                        reason=reason,
-                    )
-                )
-                return
-            # Scale down: drain the least-loaded *ready* engine, keeping at
-            # least one ready engine taking traffic.
-            ready = [engine for engine in active if engine.ready_time <= now]
-            if len(ready) < 2:
-                return
-            victim = min(
-                ready,
-                key=lambda e: (
-                    e.core.queue_depth + e.core.running,
-                    -e.core.engine_id,
-                ),
-            )
-            victim.draining = True
-            note_scale(
-                ScaleEvent(
-                    time=now,
-                    action=SCALE_DRAIN,
-                    engine_id=victim.core.engine_id,
-                    fleet_size=len(active_fleet()),
-                    reason=reason,
-                )
-            )
-            # Queued (unadmitted) requests re-route to the surviving fleet
-            # through the same requeue path a crash uses; admitted ones
-            # finish where they run.
-            for engine in redispatch(victim.core.batcher.drain_waiting(), now).values():
-                kick(engine, now)
-            kick(victim, now)  # finalizes immediately if already empty
-
-        def slo_for_record(record: RequestRecord) -> SLOSpec | None:
-            return admission.slo_for(record.spec.tenant) or slo
-
-        while heap:
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind != _FAULT:
-                # Faults alone don't extend the makespan: a crash injected
-                # after the last completion destroys nothing and should not
-                # stretch utilization or goodput denominators.
-                end_time = max(end_time, now)
-            if kind == _ARRIVAL:
-                # Drain every arrival with this exact timestamp before
-                # kicking engines, so simultaneous requests (offline
-                # batches, burst heads) can share the iterations they
-                # trigger — same policy as the single-engine simulator.
-                batch_states = [payload]
-                while heap and heap[0][0] == now and heap[0][2] == _ARRIVAL:
-                    batch_states.append(heapq.heappop(heap)[3])
-                if self.degradation is not None:
-                    ready_now = [
-                        e for e in active_fleet() if e.ready_time <= now
-                    ]
-                    avg_queue = sum(
-                        e.core.queue_depth for e in ready_now
-                    ) / max(1, len(ready_now))
-                else:
-                    avg_queue = 0.0
-                touched: dict[int, _Engine] = {}
-                for state in batch_states:
-                    assert isinstance(state, RequestState)
-                    if not admission.admit(state.spec.tenant, now):
-                        rejected.append(state.spec)
-                        continue
-                    if self.degradation is not None and self.degradation.should_shed(
-                        state.spec.tenant, avg_queue
-                    ):
-                        # Graceful degradation: shed at the front door by
-                        # tenant priority before queues collapse SLOs
-                        # fleet-wide.  Shed arrivals count as rejections.
-                        rejected.append(state.spec)
-                        avail["shed"] += 1
-                        if tracer is not None:
-                            tracer.instant(
-                                "shed",
-                                sim_time=now,
-                                category="cluster",
-                                track="cluster",
-                                request=state.spec.request_id,
-                                tenant=state.spec.tenant,
-                            )
-                        continue
-                    engine = dispatch(state, now)
-                    touched[engine.core.engine_id] = engine
-                for engine in touched.values():
-                    kick(engine, now)
-                autoscale(now)
-            elif kind == _STEP_DONE:
-                engine_id, batch = payload
-                engine = engines[engine_id]
-                if engine.crashed:
-                    # Stale completion: the crash destroyed this iteration's
-                    # work and already re-dispatched (or failed) its
-                    # requests.
-                    continue
-                for state in engine.core.complete_iteration(batch, now):
-                    if state.finished:
-                        record = RequestRecord(
-                            spec=state.spec,
-                            arrival_time=state.spec.arrival_time,
-                            started_time=state.started_time,
-                            first_token_time=state.first_token_time,
-                            completion_time=state.completion_time,
-                        )
-                        records.append(record)
-                        note_resolved(state, now)
-                        if autoscaler is not None:
-                            record_slo = slo_for_record(record)
-                            autoscaler.observe(
-                                record_slo.met_by(record)
-                                if record_slo is not None
-                                else True
-                            )
-                    else:
-                        # Prefill finished: hand off to the decode pool.
-                        delay = self.disaggregation.handoff_delay
-                        heapq.heappush(
-                            heap, (now + delay, next(sequence), _HANDOFF, state)
-                        )
-                kick(engine, now)
-                autoscale(now)
-            elif kind == _ENGINE_READY:
-                # A scaled-up engine just warmed.  Queued requests are not
-                # yet admitted into any batch, so the front door rebalances
-                # them across the grown fleet in FCFS order — without this,
-                # a backlog that triggered the scale-up would stay pinned
-                # to the engines it queued on and the new engine would idle.
-                pending: list[RequestState] = []
-                for _, other in sorted(engines.items()):
-                    if other.active and other.ready_time <= now:
-                        pending.extend(other.core.batcher.drain_waiting())
-                pending.sort(key=lambda s: (s.spec.arrival_time, s.spec.request_id))
-                touched = {payload: engines[payload]}
-                for state in pending:
-                    chosen = dispatch(state, now)
-                    touched[chosen.core.engine_id] = chosen
-                for engine in touched.values():
-                    kick(engine, now)
-                autoscale(now)
-            elif kind == _FAULT:
-                fault = payload
-                if fault.kind == FAULT_ENGINE_CRASH:
-                    apply_crash(fault, now)
-                elif fault.kind == FAULT_ENGINE_SLOWDOWN:
-                    apply_slowdown(fault, now)
-                elif fault.kind == FAULT_COMPILE_FAILURE:
-                    self.latency_model.inject_compile_failures(fault.count)
-                    avail["compile_faults"] += fault.count
-                    if tracer is not None:
-                        tracer.instant(
-                            "fault-compile-failure",
-                            sim_time=now,
-                            category="cluster",
-                            track="cluster",
-                            count=fault.count,
-                        )
-                else:  # FAULT_STORE_CORRUPTION
-                    apply_corruption(fault)
-                    if tracer is not None:
-                        tracer.instant(
-                            "fault-store-corruption",
-                            sim_time=now,
-                            category="cluster",
-                            track="cluster",
-                            target=fault.target,
-                        )
-                autoscale(now)
-            elif kind == _RETRY:
-                # A crash-lost request returns from its backoff delay and
-                # is routed like a fresh arrival (with its progress reset).
-                state = payload
-                avail["redispatches"] += 1
-                kick(dispatch(state, now), now)
-                autoscale(now)
-            else:
-                assert kind == _HANDOFF
-                state = payload
-                kick(dispatch(state, now), now)
-
-        for engine in engines.values():
-            assert not engine.core.has_work(), (
-                "cluster simulation ended with unfinished requests"
-            )
-        assert len(records) + len(rejected) + len(failed) == len(trace.requests), (
+    def _result(self, loop: _FleetLoop, slo: SLOSpec | None) -> ClusterResult:
+        records, rejected, failed = loop.records, loop.rejected, loop.failed
+        num_arrivals = len(loop.trace.requests)
+        assert len(records) + len(rejected) + len(failed) == num_arrivals, (
             "request accounting does not balance: "
             f"{len(records)} completed + {len(rejected)} rejected + "
-            f"{len(failed)} failed != {len(trace.requests)} arrivals"
+            f"{len(failed)} failed != {num_arrivals} arrivals"
         )
-
         # Injected compile failures that never fired (no cache miss came)
         # must not leak into a later run on the same latency model.
         self.latency_model.disarm_compile_failures()
+        end_time = loop.end_time
         met_under_faults = 0
         for record in records:
-            record_slo = admission.slo_for(record.spec.tenant) or slo
+            record_slo = loop.admission.slo_for(record.spec.tenant) or slo
             if record_slo is None or record_slo.met_by(record):
                 met_under_faults += 1
         accepted = len(records) + len(failed)
         availability = AvailabilityMetrics(
-            num_crashes=avail["crashes"],
-            num_slowdowns=avail["slowdowns"],
-            num_compile_faults=avail["compile_faults"],
-            num_store_corruptions=avail["store_corruptions"],
-            num_retries=avail["retries"],
-            num_redispatches=avail["redispatches"],
+            **loop.avail,
             num_failed=len(failed),
-            num_shed=avail["shed"],
             compile_fallbacks=(
-                self.latency_model.stats.get("fallbacks", 0) - fallback_base
+                self.latency_model.stats.get("fallbacks", 0) - loop.fallback_base
             ),
-            recovery_times=tuple(recovery_times),
+            recovery_times=tuple(loop.recovery_times),
             goodput_under_faults_rps=(
                 met_under_faults / end_time if end_time > 0 else 0.0
             ),
@@ -945,30 +809,28 @@ class ClusterSimulator:
         )
 
         engine_records = []
-        for engine_id, engine in sorted(engines.items()):
+        for engine in loop.engines:
             lifespan = (
                 engine.removed_time if engine.removed_time is not None else end_time
             ) - engine.ready_time
             engine_records.append(
                 EngineRecord(
-                    engine_id=engine_id,
+                    engine_id=engine.engine_id,
                     role=engine.role,
-                    busy_time=engine.core.busy_time,
-                    num_iterations=engine.core.iterations,
-                    requests_completed=engine.core.completed,
+                    busy_time=engine.busy_time,
+                    num_iterations=engine.iterations,
+                    requests_completed=engine.completed,
                     added_time=engine.added_time,
                     ready_time=engine.ready_time,
                     removed_time=engine.removed_time,
                     utilization=(
-                        min(1.0, engine.core.busy_time / lifespan)
-                        if lifespan > 0
-                        else 0.0
+                        min(1.0, engine.busy_time / lifespan) if lifespan > 0 else 0.0
                     ),
                 )
             )
 
         return ClusterResult(
-            trace_name=trace.name,
+            trace_name=loop.trace.name,
             policy=self.latency_model.policy,
             records=tuple(records),
             busy_time=sum(record.busy_time for record in engine_records),
@@ -977,14 +839,14 @@ class ClusterSimulator:
             slo=slo,
             router=self.router.name,
             engines=tuple(engine_records),
-            scale_events=tuple(scale_events),
+            scale_events=tuple(loop.scale_events),
             rejected=tuple(rejected),
             failed=tuple(failed),
-            num_arrivals=len(trace.requests),
+            num_arrivals=num_arrivals,
             availability=availability,
             tenants=tuple(self.tenants.values()),
             store_hits=(
-                self.latency_model.session.stats.store_hits - store_base
+                self.latency_model.session.stats.store_hits - loop.store_base
             ),
         )
 

@@ -1,12 +1,12 @@
-"""One serving engine's run state, extracted for single- and fleet-scale use.
+"""One serving engine's run state, for single- and fleet-scale use.
 
 :class:`EngineCore` bundles what it means to *be* a continuously-batched
 engine inside a discrete-event loop: a :class:`ContinuousBatcher`, the shared
 :class:`StepLatencyModel` its iterations are timed by, and the busy/credit
-accounting every caller was previously hand-rolling.  The single-engine
-:class:`~repro.serve.simulator.ServingSimulator` drives one core; the fleet
-simulator in :mod:`repro.cluster` drives many on one heap — same stepping
-semantics, one implementation.
+accounting.  The core has no loop of its own: the only event loop is
+:class:`~repro.serve.simulator.EventLoop`, which steps one core for the
+single-engine :class:`~repro.serve.simulator.ServingSimulator` and many for
+the fleet in :mod:`repro.cluster` (whose engines subclass this one).
 """
 
 from __future__ import annotations

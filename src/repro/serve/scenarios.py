@@ -300,6 +300,29 @@ def simulate_scenario(
             session for the duration of the run), engine iteration spans,
             and request lifecycle events.
     """
+    return drive_scenario(
+        scenario, lambda _scenario, model: ServingSimulator(model, tracer=tracer),
+        system=system, policy=policy, num_requests=num_requests, seed=seed,
+        rate_scale=rate_scale, session=session, num_layers=num_layers,
+        use_simulator=use_simulator, prewarm=prewarm, tracer=tracer,
+    )
+
+
+def drive_scenario(
+    scenario: str | ServingScenario,
+    make_simulator: Callable[[ServingScenario, StepLatencyModel], ServingSimulator],
+    *,
+    system: SystemConfig | None, policy: str, num_requests: int, seed: int,
+    rate_scale: float, session: Session | None, num_layers: int | None,
+    use_simulator: bool, prewarm: bool, tracer: "Tracer | None",
+) -> ServingResult:
+    """The shared body of :func:`simulate_scenario` and its fleet counterpart.
+
+    Builds the latency model, draws the scenario's trace, optionally
+    prewarms its bucket grid, and runs ``make_simulator(scenario,
+    latency_model)`` on it — with ``tracer`` wired onto the session for the
+    duration of the run.
+    """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     system = system or scaled_system(num_cores=32, num_chips=1)
@@ -319,13 +342,8 @@ def simulate_scenario(
     trace = scenario.trace(num_requests=num_requests, seed=seed, rate_scale=rate_scale)
     try:
         if prewarm:
-            groups = sorted(
-                {(spec.model.lower(), spec.kind) for spec in trace.requests}
-            )
-            latency_model.prewarm(groups)
-        return ServingSimulator(latency_model, tracer=tracer).run(
-            trace, slo=scenario.slo
-        )
+            latency_model.prewarm(trace.groups)
+        return make_simulator(scenario, latency_model).run(trace, slo=scenario.slo)
     finally:
         if tracer is not None:
             session.tracer = previous_tracer

@@ -1,19 +1,29 @@
-"""The request-level serving simulator: a heapq discrete-event engine.
+"""The request-level serving simulator and the package's only event loop.
 
-The engine interleaves two event kinds on one time-ordered heap — request
-arrivals (from the trace) and iteration completions (from the continuous
-batcher) — and advances a single serving engine through them:
+:class:`EventLoop` is the one heapq discrete-event core every serving run
+goes through, single engine and fleet alike.  It interleaves two event
+kinds on one time-ordered heap — request arrivals (from the trace) and
+iteration completions (from the engines' continuous batchers):
 
-1. An arriving request joins the FCFS wait queue; if the engine is idle it
-   starts an iteration immediately.
+1. Every arrival sharing a timestamp is drained together, then handed to
+   :meth:`EventLoop.arrive`: with one engine the requests join its FCFS
+   wait queue, and an idle engine starts an iteration at once.
 2. When an iteration completes, every request in its batch advances one
-   output unit, finished requests leave, and the batcher forms the next
-   batch from the running and newly admitted requests (continuous batching:
-   composition changes at iteration boundaries only).
+   output unit, each finished request becomes a :class:`RequestRecord`,
+   and the engine forms its next batch from the running and newly admitted
+   requests (continuous batching: composition changes at iteration
+   boundaries only).
 3. Iteration latencies come from :class:`~repro.serve.batching.StepLatencyModel`,
    i.e. from execution plans compiled once per bucket through a shared
    :class:`repro.api.Session` and timed by the event-driven chip/multichip
    simulator.
+
+:class:`ServingSimulator` drives the loop with one
+:class:`~repro.serve.engine.EngineCore`.  The fleet simulator
+(:class:`repro.cluster.ClusterSimulator`) subclasses it and plugs a fleet
+into the same loop by overriding the loop's hooks — admission and routing
+on arrival, its own event kinds, autoscaling after events — so the heap,
+the arrival draining, and the completion path exist once.
 
 Given a seeded trace the whole run is deterministic: heap ties are broken by
 an insertion sequence number and every scheduling decision is a pure function
@@ -25,11 +35,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.serve.batching import (
-    Batch,
     BatchBuckets,
+    RequestState,
     StepLatencyModel,
     make_states,
 )
@@ -45,8 +55,9 @@ from repro.serve.workload import ArrivalTrace
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
-_ARRIVAL = 0
-_STEP_DONE = 1
+#: Event kinds the loop itself handles; a fleet numbers its own from 2.
+ARRIVAL = 0
+STEP_DONE = 1
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,130 @@ class ServingResult:
         )
 
 
+class EventLoop:
+    """One run of the discrete-event core, serving a trace on its engines.
+
+    Events are ``(time, sequence, kind, payload, engine)`` tuples; the
+    sequence number breaks time ties in insertion order.  The loop owns the
+    two event kinds every run has — :data:`ARRIVAL` (payload: a
+    :class:`RequestState`) and :data:`STEP_DONE` (payload: the iteration's
+    batch; the only kind that names an engine) — and the path from a
+    completed iteration to its records.  The hooks serve one engine; a
+    fleet subclasses the loop and overrides :meth:`arrive`, :meth:`kick`,
+    :meth:`finished`, :meth:`handoff`, :meth:`handle`, and :attr:`settle`.
+
+    Args:
+        trace: The arrival trace (one fresh :class:`RequestState` each).
+        engines: The engines, indexed by engine id.
+
+    Attributes:
+        records: Completed requests, in completion order.
+        end_time: Time of the last event not of :attr:`untimed_kinds`.
+    """
+
+    #: Called after every arrival batch and iteration completion (a fleet's
+    #: autoscaler); ``None`` skips the call.
+    settle: Callable[[float], None] | None = None
+    #: Event kinds that do not extend :attr:`end_time` (a fleet's faults).
+    untimed_kinds: frozenset[int] = frozenset()
+
+    def __init__(self, trace: ArrivalTrace, engines: list[EngineCore]) -> None:
+        self.trace = trace
+        self.engines = engines
+        self.records: list[RequestRecord] = []
+        self.end_time = 0.0
+        # Traces are in arrival order, so the arrival list is already a heap.
+        self.heap: list[tuple[float, int, int, Any, EngineCore | None]] = [
+            (state.spec.arrival_time, sequence, ARRIVAL, state, None)
+            for sequence, state in enumerate(make_states(trace))
+        ]
+        self._sequence = itertools.count(len(self.heap))
+
+    def push(self, time: float, kind: int, payload: Any) -> None:
+        """Schedule one event."""
+        heapq.heappush(self.heap, (time, next(self._sequence), kind, payload, None))
+
+    # ------------------------------------------------------------------ hooks
+    def arrive(self, states: list[RequestState], now: float) -> None:
+        """Hand simultaneous arrivals to the engine; start it if idle."""
+        engine = self.engines[0]
+        for state in states:
+            engine.enqueue(state)
+        self.kick(engine, now)
+
+    def kick(self, engine: EngineCore, now: float) -> bool:
+        """Start ``engine``'s next iteration if it is idle; return whether it did."""
+        if engine.busy:
+            return False
+        started = engine.start_iteration(now)
+        if started is None:
+            return False
+        batch, latency = started
+        heapq.heappush(
+            self.heap, (now + latency, next(self._sequence), STEP_DONE, batch, engine)
+        )
+        return True
+
+    def finished(self, state: RequestState, record: RequestRecord, now: float) -> None:
+        """A request completed (a fleet settles crash watches and SLOs)."""
+
+    def handoff(self, state: RequestState, now: float) -> None:
+        """A prefill engine released a request for the decode pool."""
+        raise AssertionError("a colocated engine never hands a request off")
+
+    def handle(self, kind: int, payload: Any, now: float) -> None:
+        """Process an event kind the loop does not own."""
+        raise AssertionError(f"unknown event kind {kind}")
+
+    # ------------------------------------------------------------------- loop
+    def run(self) -> None:
+        """Pop events until the heap is empty."""
+        heap = self.heap
+        records = self.records
+        pop = heapq.heappop
+        arrive, kick, finished = self.arrive, self.kick, self.finished
+        settle = self.settle
+        end_time = self.end_time
+        while heap:
+            now, _, kind, payload, engine = pop(heap)
+            if kind == STEP_DONE:
+                end_time = now
+                for state in engine.complete_iteration(payload, now):
+                    if state.finished:
+                        record = RequestRecord(
+                            spec=state.spec,
+                            arrival_time=state.spec.arrival_time,
+                            started_time=state.started_time,
+                            first_token_time=state.first_token_time,
+                            completion_time=state.completion_time,
+                        )
+                        records.append(record)
+                        finished(state, record, now)
+                    else:
+                        self.handoff(state, now)
+                kick(engine, now)
+            elif kind == ARRIVAL:
+                end_time = now
+                # Drain every arrival with this exact timestamp before
+                # scheduling, so simultaneous requests (offline batches,
+                # burst heads) can share the iteration they trigger.
+                states = [payload]
+                while heap and heap[0][0] == now and heap[0][2] == ARRIVAL:
+                    states.append(pop(heap)[3])
+                arrive(states, now)
+            else:
+                if kind not in self.untimed_kinds:
+                    end_time = now
+                self.handle(kind, payload, now)
+                continue
+            if settle is not None:
+                settle(now)
+        self.end_time = end_time
+        assert not any(engine.has_work() for engine in self.engines), (
+            "simulation ended with unfinished requests"
+        )
+
+
 class ServingSimulator:
     """Discrete-event simulation of one continuously-batched serving engine.
 
@@ -112,54 +247,22 @@ class ServingSimulator:
 
     def run(self, trace: ArrivalTrace, slo: SLOSpec | None = None) -> ServingResult:
         """Serve every request of ``trace``; return the completed-run result."""
+        loop = self._event_loop(trace, slo)
+        loop.run()
+        return self._result(loop, slo)
+
+    def _event_loop(self, trace: ArrivalTrace, slo: SLOSpec | None) -> EventLoop:
+        """The run's event loop (a fleet returns its own subclass)."""
         engine = EngineCore(self.latency_model, self.buckets, tracer=self.tracer)
-        sequence = itertools.count()
-        heap: list[tuple[float, int, int, object]] = []
-        for state in make_states(trace):
-            heapq.heappush(
-                heap, (state.spec.arrival_time, next(sequence), _ARRIVAL, state)
-            )
+        return EventLoop(trace, [engine])
 
-        records: list[RequestRecord] = []
-
-        def start_iteration(now: float) -> None:
-            started = engine.start_iteration(now)
-            if started is not None:
-                batch, latency = started
-                heapq.heappush(
-                    heap, (now + latency, next(sequence), _STEP_DONE, batch)
-                )
-
-        while heap:
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind == _ARRIVAL:
-                engine.enqueue(payload)
-                # Drain every arrival with this exact timestamp before
-                # scheduling, so simultaneous requests (offline batches,
-                # burst heads) can share the iteration they trigger.
-                while heap and heap[0][0] == now and heap[0][2] == _ARRIVAL:
-                    engine.enqueue(heapq.heappop(heap)[3])
-                if not engine.busy:
-                    start_iteration(now)
-                continue
-            assert isinstance(payload, Batch)
-            for state in engine.complete_iteration(payload, now):
-                records.append(
-                    RequestRecord(
-                        spec=state.spec,
-                        arrival_time=state.spec.arrival_time,
-                        started_time=state.started_time,
-                        first_token_time=state.first_token_time,
-                        completion_time=state.completion_time,
-                    )
-                )
-            start_iteration(now)
-
-        assert not engine.has_work(), "simulation ended with unfinished requests"
+    def _result(self, loop: EventLoop, slo: SLOSpec | None) -> ServingResult:
+        """Package a finished loop as the run's result."""
+        engine = loop.engines[0]
         return ServingResult(
-            trace_name=trace.name,
+            trace_name=loop.trace.name,
             policy=self.latency_model.policy,
-            records=tuple(records),
+            records=tuple(loop.records),
             busy_time=engine.busy_time,
             num_iterations=engine.iterations,
             compiled_shapes=tuple(self.latency_model.compiled_shapes()),

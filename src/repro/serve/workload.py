@@ -177,6 +177,11 @@ class ArrivalTrace:
             return 0.0
         return self.requests[-1].arrival_time - self.requests[0].arrival_time
 
+    @property
+    def groups(self) -> list[tuple[str, str]]:
+        """Sorted (model, kind) pairs of the requests, as ``prewarm`` takes them."""
+        return sorted({(spec.model.lower(), spec.kind) for spec in self.requests})
+
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, object]:
         """Serializable dictionary for JSON replay files."""
