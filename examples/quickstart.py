@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro import CompileArtifact, CompileRequest, POLICIES, Session, WorkloadSpec, ipu_pod4
 from repro.codegen import generate_device_program
 from repro.eval import format_table
-from repro.sim import simulate_system
 
 
 def main() -> None:
@@ -34,32 +33,17 @@ def main() -> None:
     )
 
     rows = []
-    plans = {}
     for artifact in artifacts:
-        plan = artifact.result.plan if artifact.result is not None else None
-        if plan is not None:
-            sim = simulate_system(
-                plan,
-                system,
-                artifact.frontend.per_chip_graph.total_flops,
-                artifact.frontend.full_graph_flops,
-                artifact.frontend.interchip_bytes_per_step,
-            )
-            latency_ms = sim.total_time * 1e3
-            hbm = sim.chip_result.hbm_utilization
-            noc = sim.chip_result.noc_utilization
-            tflops = sim.achieved_tflops
-            plans[artifact.policy] = plan
-        else:
-            latency_ms = artifact.latency * 1e3
-            hbm, noc, tflops = artifact.hbm_utilization, 0.0, artifact.achieved_tflops
+        # Every plan was simulated when it compiled; the plan-less Ideal
+        # roofline reports its analytic numbers.
+        step = artifact.simulated or artifact
         rows.append(
             {
                 "policy": artifact.policy,
-                "latency_ms": latency_ms,
-                "hbm_util": hbm,
-                "noc_util": noc,
-                "achieved_tflops": tflops,
+                "latency_ms": step.latency * 1e3,
+                "hbm_util": step.hbm_utilization,
+                "noc_util": step.noc_utilization,
+                "achieved_tflops": step.achieved_tflops,
                 "compile_s": artifact.compile_seconds,
             }
         )
@@ -72,7 +56,8 @@ def main() -> None:
         f"{stats.profile_builds} profile build(s) shared by {stats.compiles} compiles"
     )
 
-    elk_plan = plans["elk-full"]
+    elk_artifact = next(a for a in artifacts if a.policy == "elk-full")
+    elk_plan = elk_artifact.result.plan
     print(f"\nElk-Full plan: {len(elk_plan)} operators, "
           f"avg preload number {elk_plan.summary()['avg_preload_number']:.2f}, "
           f"reorder edit distance {elk_plan.reorder_edit_distance:.2f}")
@@ -83,10 +68,9 @@ def main() -> None:
         print("  " + instruction.render())
 
     # Artifacts serialize to JSON, so sweep results persist across runs.
-    elk_artifact = next(a for a in artifacts if a.policy == "elk-full")
     restored = CompileArtifact.from_json(elk_artifact.to_json())
     print(f"\nArtifact JSON round-trip: {restored.policy} "
-          f"latency {restored.latency * 1e3:.3f} ms "
+          f"simulated latency {restored.simulated.latency * 1e3:.3f} ms "
           f"(matches: {restored == elk_artifact})")
 
 

@@ -2,11 +2,13 @@
 
 A :class:`CompileArtifact` is the service-level record of one compilation:
 the metrics every report consumes (latency, utilizations, breakdown, compile
-time) plus enough identity (workload, system, policy) to key a cache or a
-result table.  Unlike :class:`~repro.compiler.pipeline.CompileResult` it is
-JSON-(de)serializable, so sweep results persist across runs; the in-memory
-references to the full result, frontend, and system ride along for callers
-that need the plan or the simulator but are dropped on serialization.
+time), the plan's simulated step (:class:`SimulatedStep`), and enough
+identity (workload, system, policy) to key a cache or a result table.
+Unlike :class:`~repro.compiler.pipeline.CompileResult` it is
+JSON-(de)serializable, so sweep results persist across runs and a store hit
+answers with the same numbers as a fresh compile; the in-memory references
+to the full result, frontend, and system ride along for callers that need
+the plan itself but are dropped on serialization.
 """
 
 from __future__ import annotations
@@ -22,9 +24,36 @@ if TYPE_CHECKING:
     from repro.arch.chip import SystemConfig
     from repro.compiler.frontend import FrontendResult
     from repro.compiler.pipeline import CompileResult
+    from repro.sim.multichip import SystemSimulationResult
 
 #: Bumped whenever the serialized artifact layout changes incompatibly.
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
+
+
+@dataclass
+class SimulatedStep:
+    """One plan's per-step numbers from the event-driven simulator.
+
+    The fields mean what the same-named :class:`CompileArtifact` fields do,
+    measured by :func:`repro.sim.multichip.simulate_system` instead of the
+    analytic timeline (``breakdown`` folds inter-chip time into execute).
+    """
+
+    latency: float
+    breakdown: dict[str, float]
+    hbm_utilization: float
+    noc_utilization: float
+    noc_preload_fraction: float
+    achieved_tflops: float
+
+    @classmethod
+    def from_simulation(cls, sim: "SystemSimulationResult") -> "SimulatedStep":
+        """The step one :func:`~repro.sim.multichip.simulate_system` run measured."""
+        chip = sim.chip_result
+        return cls(
+            sim.total_time, sim.breakdown(), chip.hbm_utilization,
+            chip.noc_utilization, chip.noc_preload_fraction, sim.achieved_tflops,
+        )
 
 
 @dataclass
@@ -39,7 +68,7 @@ class CompileArtifact:
         num_layers: Layer-count override of the workload, if any.
         system_name: Name of the target system.
         policy: Compiler policy used.
-        latency: End-to-end per-step latency, seconds.
+        latency: End-to-end per-step latency of the analytic timeline, seconds.
         interchip_time: Per-step inter-chip all-reduce time, seconds.
         breakdown: Fig. 18a-style latency categories, seconds.
         hbm_utilization: Average HBM bandwidth utilization.
@@ -50,6 +79,8 @@ class CompileArtifact:
             shared-artifact (frontend / profile) builds it triggered.
         plan_summary: Headline plan statistics (``None`` for rooflines).
         search_stats: Search-space statistics as a dict (Elk policies only).
+        simulated: The plan simulated right after compiling (``None`` for
+            plan-less policies such as ``ideal``).
         schema_version: Serialization schema version.
         result: In-memory :class:`CompileResult` (not serialized).
         frontend: In-memory :class:`FrontendResult` (not serialized).
@@ -73,6 +104,7 @@ class CompileArtifact:
     compile_seconds: float
     plan_summary: dict[str, object] | None = None
     search_stats: dict[str, int] | None = None
+    simulated: SimulatedStep | None = None
     schema_version: int = ARTIFACT_SCHEMA_VERSION
     result: "CompileResult | None" = field(default=None, repr=False, compare=False)
     frontend: "FrontendResult | None" = field(default=None, repr=False, compare=False)
@@ -90,6 +122,7 @@ class CompileArtifact:
         frontend: "FrontendResult | None" = None,
         system: "SystemConfig | None" = None,
         compile_seconds: float | None = None,
+        simulated: SimulatedStep | None = None,
     ) -> "CompileArtifact":
         """Package a :class:`CompileResult` as an artifact.
 
@@ -99,6 +132,7 @@ class CompileArtifact:
             system: System configuration to keep referenced.
             compile_seconds: Override for the compile time (e.g. to include
                 shared frontend/profile builds); defaults to the result's own.
+            simulated: The plan's simulated step, if it was simulated.
         """
         workload = result.workload
         return cls(
@@ -121,25 +155,11 @@ class CompileArtifact:
             ),
             plan_summary=dict(result.plan.summary()) if result.plan is not None else None,
             search_stats=asdict(result.search_stats) if result.search_stats else None,
+            simulated=simulated,
             result=result,
             frontend=frontend,
             system=system,
         )
-
-    # ---------------------------------------------------------------- reports
-    def summary(self) -> dict[str, object]:
-        """Flat dictionary for result tables."""
-        return {
-            "model": self.model,
-            "batch_size": self.batch_size,
-            "seq_len": self.seq_len,
-            "policy": self.policy,
-            "latency_ms": self.latency * 1e3,
-            "hbm_utilization": self.hbm_utilization,
-            "noc_utilization": self.noc_utilization,
-            "achieved_tflops": self.achieved_tflops,
-            "compile_seconds": self.compile_seconds,
-        }
 
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, object]:
@@ -154,6 +174,8 @@ class CompileArtifact:
             data["plan_summary"] = dict(self.plan_summary)
         if self.search_stats is not None:
             data["search_stats"] = dict(self.search_stats)
+        if self.simulated is not None:
+            data["simulated"] = asdict(self.simulated)
         return data
 
     @classmethod
@@ -172,7 +194,10 @@ class CompileArtifact:
                 f"unknown artifact fields {sorted(unknown)}; corrupt file?"
             )
         try:
-            return cls(**{key: data[key] for key in data})
+            artifact = cls(**{key: data[key] for key in data})
+            if artifact.simulated is not None:
+                artifact.simulated = SimulatedStep(**artifact.simulated)
+            return artifact
         except TypeError as error:
             raise ConfigurationError(
                 f"incomplete artifact record: {error}"

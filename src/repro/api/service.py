@@ -39,7 +39,8 @@ from concurrent.futures import TimeoutError as PoolTimeout
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
-from repro.api.artifacts import CompileArtifact, save_artifacts
+import repro.sim.multichip as multichip
+from repro.api.artifacts import CompileArtifact, SimulatedStep, save_artifacts
 from repro.api.store import ArtifactStore, artifact_digest
 
 if TYPE_CHECKING:
@@ -238,9 +239,11 @@ class Session:
     cache between its in-memory dict and a real compile: results land on
     disk as they are compiled and later sessions — including other
     *processes* — resolve equal requests from the store instead of
-    recompiling.  Store-resolved artifacts carry metrics, stats, and
-    timings but no in-memory plan/frontend references (they were
-    deserialized, not compiled).
+    recompiling.  Every plan is simulated once, right after it compiles,
+    and the artifact records that :class:`SimulatedStep`; store-resolved
+    artifacts therefore carry the same metrics, simulated step, stats, and
+    timings as fresh ones, only no in-memory plan/frontend references (they
+    were deserialized, not compiled).
 
     Args:
         elk_options: Default Elk knobs for requests that bring none.
@@ -509,8 +512,9 @@ class Session:
         Accepts either a prepared :class:`CompileRequest` or the
         ``(workload, system, policy)`` triple directly.  Resolution order:
         the in-memory result cache, then the on-disk store (if any), then a
-        real compile — whose artifact is persisted to the store for future
-        sessions and processes.
+        real compile — whose plan is simulated once (outside the timed
+        ``compile_seconds``) and whose artifact is persisted to the store
+        for future sessions and processes.
         """
         if not isinstance(request, CompileRequest):
             if system is None:
@@ -543,11 +547,24 @@ class Session:
             compiler = self.compiler(request)
             result = compiler.compile(request.policy)
             elapsed = time.perf_counter() - started
+        simulated = None
+        if result.plan is not None:
+            frontend = compiler.frontend
+            simulated = SimulatedStep.from_simulation(
+                multichip.simulate_system(
+                    result.plan,
+                    request.system,
+                    frontend.per_chip_graph.total_flops,
+                    frontend.full_graph_flops,
+                    frontend.interchip_bytes_per_step,
+                )
+            )
         artifact = CompileArtifact.from_result(
             result,
             frontend=compiler.frontend,
             system=request.system,
             compile_seconds=elapsed,
+            simulated=simulated,
         )
         with self._lock:
             winner = self._results.setdefault(key, artifact)
@@ -587,7 +604,8 @@ class Session:
           fresh session each, sharing the parent's option defaults and
           store), which *does* parallelize the GIL-bound compile path.  The
           artifacts ship back serialized, so — like store hits — they carry
-          no in-memory plan/frontend references; requires a picklable
+          the same metrics and simulated step but no in-memory
+          plan/frontend references; requires a picklable
           ``cost_model_factory``.
         """
         backend = _check_backend(backend) if backend is not None else self.backend

@@ -355,7 +355,7 @@ def simulate_cluster_scenario(
             e.g. ``faults=None`` runs a chaos scenario's trace on the happy
             path, and ``faults=random_faults(...)`` injects a seeded
             schedule into any scenario.
-        prewarm: Compile the full bucket grid up front through one
+        prewarm: Compile the reachable bucket grid up front through one
             ``compile_many`` fan-out.
         tracer: Optional :class:`repro.obs.Tracer` observing the whole
             fleet run: compile-stage and store spans (wired onto the session

@@ -699,9 +699,6 @@ class ClusterSimulator(ServingSimulator):
         tenants: Per-tenant admission quotas and SLOs.
         disaggregation: Split the fleet into dedicated prefill and decode
             pools with a hand-off queue.
-        prewarm: Compile the full bucket grid for every (model, kind)
-            group in the trace before serving, via one
-            :meth:`Session.compile_many` fan-out.
         faults: Fault schedule to inject during the run (``None`` = the
             happy path).  Crashes never remove the last engine able to
             serve a role — such events are skipped.
@@ -725,7 +722,6 @@ class ClusterSimulator(ServingSimulator):
         autoscaler: AutoscalerConfig | None = None,
         tenants=None,
         disaggregation: DisaggregationConfig | None = None,
-        prewarm: bool = False,
         faults: FaultSchedule | None = None,
         retry_policy: RetryPolicy | None = None,
         degradation: DegradationPolicy | None = None,
@@ -747,7 +743,6 @@ class ClusterSimulator(ServingSimulator):
         self.autoscaler_config = autoscaler
         self.tenants = as_tenant_map(tenants)
         self.disaggregation = disaggregation
-        self.prewarm = prewarm
         if faults is not None and not isinstance(faults, FaultSchedule):
             raise ConfigurationError(
                 f"faults must be a FaultSchedule or None, got {faults!r}"
@@ -768,8 +763,7 @@ class ClusterSimulator(ServingSimulator):
     # ----------------------------------------------------------------- running
     def run(self, trace: ArrivalTrace, slo: SLOSpec | None = None) -> ClusterResult:
         """Serve every admitted request of ``trace``; return the fleet result."""
-        if self.prewarm:
-            self.latency_model.prewarm(trace.groups)
+        # Not inherited: perfbench times the fleet run through this entry point.
         return super().run(trace, slo)
 
     def _event_loop(self, trace: ArrivalTrace, slo: SLOSpec | None) -> _FleetLoop:

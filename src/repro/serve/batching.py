@@ -7,7 +7,8 @@ bucket that fits.  :class:`BatchBuckets` defines those shapes (batch sizes
 and context lengths), :class:`StepLatencyModel` compiles one plan per
 (model, phase, bucket) through a shared :class:`repro.api.Session` — so a
 rate × policy sweep never recompiles a duplicate (workload, policy, bucket)
-request — and reads the per-step latency off the event-driven simulator.
+request — and reads the per-step latency the event-driven simulator
+recorded on the compiled artifact.
 
 :class:`ContinuousBatcher` is the queueing mechanism: FCFS admission into a
 bounded running set, iteration-boundary scheduling (requests join and leave
@@ -38,7 +39,7 @@ from repro.compiler.frontend import WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.ir.models.registry import DIT_CONFIGS
 from repro.serve.workload import DIFFUSION, RequestSpec
-from repro.sim.multichip import simulate_system
+from repro.sim.multichip import simulate_system  # noqa: F401 - perfbench patches it
 
 #: Engine phases: a colocated engine runs both phases with chunked prefill;
 #: a disaggregated fleet splits them across dedicated pools.
@@ -103,6 +104,17 @@ class BatchBuckets:
         index = bisect.bisect_left(self.context_buckets, max(1, tokens))
         return self.context_buckets[min(index, len(self.context_buckets) - 1)]
 
+    def forms_prefill(self, batch_bucket: int, context_bucket: int) -> bool:
+        """Whether chunked prefill can form a pass of this bucketed shape.
+
+        The smallest batch bucket always can (a lone prompt gets its own
+        pass); larger ones only within :attr:`prefill_attention_budget`.
+        """
+        return (
+            batch_bucket == self.batch_sizes[0]
+            or batch_bucket * context_bucket**2 <= self.prefill_attention_budget
+        )
+
 
 class StepLatencyModel:
     """Per-step latencies of bucketed execution plans, compiled once each.
@@ -110,9 +122,9 @@ class StepLatencyModel:
     Every distinct (model, phase, batch bucket, context bucket) compiles
     exactly once through the shared session — concurrent engines or a
     rate-sweep over the same session all hit the same cached plans — and the
-    latency comes from the event-driven simulator
-    (:func:`repro.sim.multichip.simulate_system`) unless ``use_simulator`` is
-    off, in which case the analytic timeline latency on the artifact is used.
+    latency is the simulated step recorded on the artifact unless
+    ``use_simulator`` is off (or the policy makes no plan), in which case
+    the analytic timeline latency on the artifact is used.
 
     Attributes:
         session: The shared compilation service.
@@ -226,30 +238,32 @@ class StepLatencyModel:
         max_workers: int | None = None,
         backend: str | None = None,
     ) -> int:
-        """Compile every bucketed shape of ``groups`` up front; return the count.
+        """Compile every reachable bucketed shape of ``groups``; return the count.
 
         ``groups`` are (model, kind) pairs (kind ``"llm"`` or
-        ``"diffusion"``).  The full bucket grid of each group is fanned out
-        through :meth:`Session.compile_many` in one batch — deduplicated
-        against everything the shared session (and its on-disk store, if
-        any) already holds — then the per-step latencies are resolved into
-        this model's cache.  A fleet that prewarms before taking traffic
-        compiles each bucket plan exactly once no matter how many engines
-        share the session.
+        ``"diffusion"``).  Each group's bucket grid — prefill shapes only
+        where :meth:`BatchBuckets.forms_prefill` says the chunker can form
+        them — is fanned out through :meth:`Session.compile_many` in one
+        batch, deduplicated against everything the shared session (and its
+        on-disk store, if any) already holds; then the per-step latencies
+        are resolved into this model's cache.  A fleet that prewarms before
+        taking traffic compiles each bucket plan exactly once no matter how
+        many engines share the session.
         """
+        buckets = self.buckets
         shapes: list[tuple[str, str, int, int]] = []
         for model, kind in groups:
             if kind == DIFFUSION:
                 shapes.extend(
-                    (model, "diffusion", batch, 0)
-                    for batch in self.buckets.batch_sizes
+                    (model, "diffusion", batch, 0) for batch in buckets.batch_sizes
                 )
             else:
                 shapes.extend(
                     (model, phase, batch, context)
                     for phase in ("prefill", "decode")
-                    for batch in self.buckets.batch_sizes
-                    for context in self.buckets.context_buckets
+                    for batch in buckets.batch_sizes
+                    for context in buckets.context_buckets
+                    if phase == "decode" or buckets.forms_prefill(batch, context)
                 )
         requests = [
             CompileRequest(self._workload(*shape), self.system, self.policy)
@@ -307,17 +321,8 @@ class StepLatencyModel:
         artifact = self.session.compile(
             CompileRequest(workload, self.system, self.policy)
         )
-        latency = artifact.latency
-        plan = artifact.result.plan if artifact.result is not None else None
-        if self.use_simulator and plan is not None and artifact.frontend is not None:
-            frontend = artifact.frontend
-            latency = simulate_system(
-                plan,
-                self.system,
-                frontend.per_chip_graph.total_flops,
-                frontend.full_graph_flops,
-                frontend.interchip_bytes_per_step,
-            ).total_time
+        step = artifact.simulated if self.use_simulator else None
+        latency = (step or artifact).latency
         with self._lock:
             winner = self._latencies.get(key)
             if winner is None:
@@ -757,21 +762,20 @@ class ContinuousBatcher:
         """Split admitted prompts into passes within the prefill token budget.
 
         Greedy in admission order: a request joins the current chunk unless
-        the chunk's bucketed token footprint would exceed the budget, in
-        which case a new pass starts.  A single oversized prompt still gets
-        its own pass (nothing smaller exists to run it as).
+        :meth:`BatchBuckets.forms_prefill` rejects the grown chunk's
+        bucketed shape, in which case a new pass starts.  A single oversized
+        prompt still gets its own pass (nothing smaller exists to run it as).
         """
-        budget = self.buckets.prefill_attention_budget
+        buckets = self.buckets
         chunks: list[list[RequestState]] = []
         current: list[RequestState] = []
         longest = 0
         for state in prefills:
             prompt = state.spec.prefill_tokens
-            footprint = (
-                self.buckets.batch_bucket(len(current) + 1)
-                * self.buckets.context_bucket(max(longest, prompt)) ** 2
-            )
-            if current and footprint > budget:
+            if current and not buckets.forms_prefill(
+                buckets.batch_bucket(len(current) + 1),
+                buckets.context_bucket(max(longest, prompt)),
+            ):
                 chunks.append(current)
                 current, longest = [], 0
             current.append(state)

@@ -291,10 +291,10 @@ def simulate_scenario(
         num_layers: Layer-count override for the compiled step workloads.
         use_simulator: Time step plans with the event-driven simulator
             (otherwise the analytic timeline).
-        prewarm: Compile the trace's full bucket grid up front through one
-            :meth:`Session.compile_many` fan-out (the session's backend)
-            before any request is served, instead of compiling buckets
-            lazily as traffic first touches them.
+        prewarm: Compile the trace's reachable bucket grid up front through
+            one :meth:`Session.compile_many` fan-out (the session's
+            backend) before any request is served, instead of compiling
+            buckets lazily as traffic first touches them.
         tracer: Optional :class:`repro.obs.Tracer` observing the run across
             every layer: compile-stage and store spans (wired onto the
             session for the duration of the run), engine iteration spans,

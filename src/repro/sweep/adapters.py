@@ -14,17 +14,12 @@ touching the runner:
 ...     def run_point(self, config, ctx):
 ...         return {"value": config["x"] * config["seed"]}
 
-Two hooks shape how the runner treats an adapter:
-
-* :meth:`SweepAdapter.prefetch` may return :class:`CompileRequest`\\ s for
-  the whole grid; the runner batches them through ONE
-  ``Session.compile_many`` fan-out (thread or process backend) before any
-  point runs, so every point then resolves its artifacts from the shared
-  caches.
-* :attr:`SweepAdapter.uses_store` opts the adapter out of the on-disk
-  artifact store when its numbers must come from freshly-compiled plans
-  (store-resolved artifacts carry no execution plan, so simulator-driven
-  studies would silently flip to analytic numbers on a warm cache).
+:meth:`SweepAdapter.prefetch` may return :class:`CompileRequest`\\ s for
+the whole grid; the runner batches them through ONE ``Session.compile_many``
+fan-out (thread or process backend) before any point runs, so every point
+then resolves its artifacts from the shared caches.  Every adapter's session
+is store-backed: an artifact records its simulated step, so a store hit or a
+process-backend artifact answers with the same numbers as a fresh compile.
 """
 
 from __future__ import annotations
@@ -53,8 +48,8 @@ class RunContext:
     """Shared state one sweep run threads through every adapter call.
 
     Attributes:
-        session: The sweep-wide compile session (store-backed when the
-            adapter allows it); every point's compiles dedupe through it.
+        session: The sweep-wide compile session (store-backed when the run
+            has a store); every point's compiles dedupe through it.
         backend: ``compile_many`` backend of the run (thread/process).
         compiled_shapes: Distinct compiled shapes observed across points —
             serving/cluster adapters record ``(policy, *shape)`` tuples so
@@ -71,11 +66,6 @@ class RunContext:
     cold_sessions: list[Session] = field(default_factory=list)
     scratch: dict = field(default_factory=dict)
 
-    @property
-    def store(self) -> ArtifactStore | None:
-        """The run's artifact store (``None`` when the adapter opts out)."""
-        return self.session.store
-
 
 class SweepAdapter(abc.ABC):
     """One registered execution path for sweep points.
@@ -87,12 +77,10 @@ class SweepAdapter(abc.ABC):
 
     name: ClassVar[str] = ""
     description: ClassVar[str] = ""
-    #: Whether the shared session should consult the on-disk artifact store.
-    uses_store: ClassVar[bool] = True
 
     def build_session(self, store: ArtifactStore | None, backend: str) -> Session:
-        """The sweep-wide session (default: serving-tuned search bounds)."""
-        return make_serving_session(store=store, backend=backend)
+        """The sweep-wide session (default: the session defaults)."""
+        return Session(store=store, backend=backend)
 
     def prefetch(
         self, configs: Sequence[Mapping[str, object]], ctx: RunContext
@@ -202,13 +190,17 @@ def _experiment_config(config: Mapping[str, object]):
         "num_layers",
         "batch_size",
         "seq_len",
-        "use_simulator",
         "max_preload_ahead",
         "max_order_candidates",
     ):
         if key in config:
             kwargs[key] = config[key]
     return ExperimentConfig(**kwargs)
+
+
+def _switches(config: Mapping[str, object]) -> dict:
+    """The ``use_simulator``/``prewarm`` keys a point sets (absent: API defaults)."""
+    return {k: bool(config[k]) for k in ("use_simulator", "prewarm") if k in config}
 
 
 # --------------------------------------------------------------------------- #
@@ -219,10 +211,6 @@ class ProbeAdapter(SweepAdapter):
     """Deterministic no-compile adapter exercising the harness itself."""
 
     description = "pure-arithmetic rows (x*y + seed); harness/CI self-test"
-    uses_store = False
-
-    def build_session(self, store, backend):
-        return Session(store=store, backend=backend)
 
     def run_point(self, config, ctx):
         x = config.get("x", 1)
@@ -240,19 +228,17 @@ class ProbeAdapter(SweepAdapter):
 # --------------------------------------------------------------------------- #
 @register_adapter("compile-grid")
 class CompileGridAdapter(SweepAdapter):
-    """Compile each point's workload and report its analytic metrics.
+    """Compile each point's workload and report its metrics.
 
     The whole grid is prefetched through one ``compile_many`` fan-out (the
     run's thread or process backend), so points only read cached artifacts.
-    Rows carry the analytic metrics recorded on the artifact — never wall
-    times — which keeps same-seed rows bit-identical across backends and
-    across cold/warm stores.
+    Rows carry the metrics recorded on the artifact (simulated for
+    plan-bearing policies, analytic for rooflines) — never wall times —
+    which keeps same-seed rows bit-identical across backends and across
+    cold/warm stores.
     """
 
-    description = "workload x system x policy compile grid, analytic metrics"
-
-    def build_session(self, store, backend):
-        return Session(store=store, backend=backend)
+    description = "workload x system x policy compile grid, simulated metrics"
 
     def _request(self, config: Mapping[str, object]) -> CompileRequest:
         from repro.compiler.frontend import WorkloadSpec
@@ -281,9 +267,8 @@ class CompileGridAdapter(SweepAdapter):
     def run_point(self, config, ctx):
         from repro.eval.experiments import evaluate_artifact
 
-        exp = _experiment_config({**config, "use_simulator": config.get("use_simulator", False)})
         artifact = ctx.session.compile(self._request(config))
-        row = evaluate_artifact(artifact, exp)
+        row = evaluate_artifact(artifact)
         row.pop("compile_seconds", None)  # wall time would break bit-identity
         return row
 
@@ -296,13 +281,16 @@ class ServingAdapter(SweepAdapter):
     """Run one serving scenario per point through the shared session.
 
     Config keys: ``scenario`` (required), ``policy``, ``num_requests``,
-    ``rate_scale``, ``num_layers``, ``use_simulator`` (default False so a
-    warm store stays bit-identical to the cold run), ``system`` (preset
-    name), ``prewarm`` (route the bucket grid through ``compile_many``
-    before serving).
+    ``rate_scale``, ``num_layers``, ``use_simulator`` (default: the
+    :func:`simulate_scenario` default), ``system`` (preset name),
+    ``prewarm`` (route the bucket grid through ``compile_many`` before
+    serving).
     """
 
     description = "rate/policy serving studies via simulate_scenario"
+
+    def build_session(self, store, backend):
+        return make_serving_session(store=store, backend=backend)
 
     def run_point(self, config, ctx):
         scenario = config.get("scenario")
@@ -318,8 +306,7 @@ class ServingAdapter(SweepAdapter):
             rate_scale=float(config.get("rate_scale", 1.0)),
             session=ctx.session,
             num_layers=config.get("num_layers", 1),
-            use_simulator=bool(config.get("use_simulator", False)),
-            prewarm=bool(config.get("prewarm", False)),
+            **_switches(config),
         )
         ctx.compiled_shapes.update(
             (policy, *shape) for shape in result.compiled_shapes
@@ -351,6 +338,9 @@ class ClusterAdapter(SweepAdapter):
 
     description = "fleet sweeps (router x engines x disaggregation) via simulate_cluster_scenario"
 
+    def build_session(self, store, backend):
+        return make_serving_session(store=store, backend=backend)
+
     def run_point(self, config, ctx):
         scenario = config.get("scenario")
         if not isinstance(scenario, str):
@@ -376,8 +366,7 @@ class ClusterAdapter(SweepAdapter):
             rate_scale=float(config.get("rate_scale", 1.0)),
             session=ctx.session,
             num_layers=config.get("num_layers", 1),
-            use_simulator=bool(config.get("use_simulator", False)),
-            prewarm=bool(config.get("prewarm", False)),
+            **_switches(config),
             **kwargs,
         )
         ctx.compiled_shapes.update(
@@ -474,16 +463,13 @@ class CompileTimeAdapter(SweepAdapter):
 
     description = "cold compile-time grid (model x batch), store-backed warm runs"
 
-    def build_session(self, store, backend):
-        return Session(store=store, backend=backend)
-
     def run_point(self, config, ctx):
         from repro.eval.experiments import compile_time_report, make_session
 
         exp = _experiment_config(config)
 
         def cold_session() -> Session:
-            session = make_session(exp, store=ctx.store)
+            session = make_session(exp, store=ctx.session.store)
             ctx.cold_sessions.append(session)
             return session
 
@@ -507,16 +493,11 @@ class DseAdapter(SweepAdapter):
     ``hbm_bandwidth_tbps``, ``noc_bandwidth_tbps``, ``cores_per_chip``,
     ``matmul_tflops``) plus the workload (``model``, ``batch_size``,
     ``seq_len``, ``num_layers``, ``max_order_candidates``) and ``policy``.
-    Stays off the on-disk store: design points are judged with the
-    event-driven simulator, and store-resolved artifacts carry no plan to
-    simulate.
+    Design points are judged by the simulated step each artifact records,
+    so a warm store reports exactly what the cold run did.
     """
 
     description = "architecture design-space points via the DSE explorer"
-    uses_store = False
-
-    def build_session(self, store, backend):
-        return Session(store=store, backend=backend)
 
     def prefetch(self, configs, ctx):
         from repro.dse.explorer import DesignPoint

@@ -39,7 +39,7 @@ class SweepResult:
         wall_seconds: Wall-clock of the whole run (prefetch included).
         session_stats: The shared session's counter snapshot.
         store_stats: The artifact store's counter snapshot (empty when the
-            adapter runs store-less).
+            run is store-less).
         cold_stats: Summed counters of adapter-created cold sessions (the
             compile-time study), zero-filled otherwise.
         distinct_shapes: Distinct compiled shapes adapters recorded.
@@ -128,10 +128,9 @@ def run_sweep(
         session: Shared compile session.  Omit to let the adapter build one
             (the usual path); pass one to chain sweeps through shared
             caches.  An explicit session wins over ``store``.
-        store: Artifact store backing the adapter-built session.  Ignored
-            when the adapter opts out (``uses_store=False``) — a
-            store-resolved artifact carries no execution plan, so
-            simulator-judged adapters must compile fresh.
+        store: Artifact store backing the adapter-built session.  A store
+            hit records the same simulated step as a fresh compile, so warm
+            runs report exactly what the cold run did.
         backend: ``compile_many`` backend for the prefetch fan-out (and the
             adapter-built session's default).
         adapter: Adapter instance override (tests inject doubles here);
@@ -145,7 +144,7 @@ def run_sweep(
     if adapter is None:
         adapter = get_adapter(spec.adapter)
     if session is None:
-        session = adapter.build_session(store if adapter.uses_store else None, backend)
+        session = adapter.build_session(store, backend)
     ctx = RunContext(session=session, backend=backend)
     points = spec.points()
     started = time.perf_counter()

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.api import CompileArtifact, CompileRequest, Session, load_artifacts
+from repro.api.artifacts import SimulatedStep
 from repro.baselines.basic import BasicCompiler
 from repro.compiler import (
     POLICIES,
@@ -21,6 +22,7 @@ from repro.compiler import (
 from repro.errors import ConfigurationError
 from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler import ElkOptions, ElkScheduler
+from repro.sim import simulate_system
 
 TINY = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=1)
 
@@ -218,6 +220,20 @@ def test_artifact_json_round_trip(small_system):
     assert restored.result is None and restored.frontend is None
     assert restored.search_stats == artifact.search_stats
     assert restored.breakdown == pytest.approx(artifact.breakdown)
+    # The simulated step survives the round trip exactly, and it is what
+    # simulating the plan again gives.
+    assert isinstance(restored.simulated, SimulatedStep)
+    assert restored.simulated == artifact.simulated
+    frontend = artifact.frontend
+    sim = simulate_system(
+        artifact.result.plan,
+        small_system,
+        frontend.per_chip_graph.total_flops,
+        frontend.full_graph_flops,
+        frontend.interchip_bytes_per_step,
+    )
+    assert restored.simulated == SimulatedStep.from_simulation(sim)
+    assert Session().compile(TINY, small_system, "ideal").simulated is None
 
 
 def test_artifact_rejects_foreign_schema(small_system):

@@ -129,21 +129,24 @@ def test_store_evicts_foreign_schema_and_corrupt_entries(small_system, tmp_path)
     session.compile(TINY, small_system, "basic")
     store = session.store
     [path] = list(store._entry_paths())
-
-    data = json.load(open(path))
-    data["schema_version"] = 999
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
     digest = os.path.splitext(os.path.basename(path))[0]
-    assert store.get(digest) is None
-    assert store.stats.evictions == 1
-    assert not os.path.exists(path)
+    current = json.load(open(path))
+    # A foreign schema, and a schema-v1 entry (written before artifacts
+    # recorded their simulated step).
+    v1 = {key: value for key, value in current.items() if key != "simulated"}
+    for stale in ({**current, "schema_version": 999}, {**v1, "schema_version": 1}):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(stale, handle)
+        evictions = store.stats.evictions
+        assert store.get(digest) is None
+        assert store.stats.evictions == evictions + 1
+        assert not os.path.exists(path)
+        store.put(digest, session.artifacts()[0])
 
-    store.put(digest, session.artifacts()[0])
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("{not json")
     assert store.get(digest) is None
-    assert store.stats.evictions == 2
+    assert store.stats.evictions == 3
 
 
 def test_store_evicts_truncated_entries(small_system, tmp_path):

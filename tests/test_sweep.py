@@ -175,7 +175,6 @@ def test_per_point_fault_isolation():
     @register_adapter("explodes-on-two")
     class Explodes(SweepAdapter):
         description = "test double"
-        uses_store = False
 
         def build_session(self, store, backend):
             from repro.api import Session
@@ -348,6 +347,18 @@ COMPILE_GRID = SweepSpec(
 )
 
 
+#: Simulator rows through the DSE explorer (its default ipu_pod4 system).
+DSE_GRID = SweepSpec(
+    name="dse_det",
+    adapter="dse",
+    axes={"hbm_bandwidth_tbps": (8.0, 16.0)},
+    fixed={
+        "model": "tiny-llm", "batch_size": 8, "seq_len": 256, "num_layers": 1,
+        "max_order_candidates": 4,
+    },
+)
+
+
 def test_same_seed_thread_rerun_bit_identical():
     first = run_sweep(COMPILE_GRID, backend="thread")
     second = run_sweep(COMPILE_GRID, backend="thread")
@@ -356,12 +367,17 @@ def test_same_seed_thread_rerun_bit_identical():
 
 
 def test_thread_vs_process_backend_bit_identical():
-    """The process pool ships artifacts back serialized; rows must not move."""
-    threaded = run_sweep(COMPILE_GRID, backend="thread")
-    processed = run_sweep(COMPILE_GRID, backend="process")
-    assert threaded.ok and processed.ok, (threaded.errors, processed.errors)
-    assert threaded.rows == processed.rows
-    assert threaded.backend == "thread" and processed.backend == "process"
+    """The process pool ships artifacts back serialized; rows must not move.
+
+    The DSE grid reads simulated steps, which must cross the process
+    boundary with the artifact.
+    """
+    for spec in (COMPILE_GRID, DSE_GRID):
+        threaded = run_sweep(spec, backend="thread")
+        processed = run_sweep(spec, backend="process")
+        assert threaded.ok and processed.ok, (threaded.errors, processed.errors)
+        assert threaded.rows == processed.rows, spec.name
+        assert threaded.backend == "thread" and processed.backend == "process"
 
 
 def test_serving_sweep_cold_vs_warm_store_bit_identical(tmp_path):
