@@ -26,8 +26,10 @@ if TYPE_CHECKING:
     from repro.compiler.pipeline import CompileResult
     from repro.sim.multichip import SystemSimulationResult
 
-#: Bumped whenever the serialized artifact layout changes incompatibly.
-ARTIFACT_SCHEMA_VERSION = 2
+#: Bumped whenever the serialized artifact layout changes incompatibly, or
+#: the numbers an unchanged layout carries change (v3: simulator utilization
+#: sums no longer follow the string-hash seed).
+ARTIFACT_SCHEMA_VERSION = 3
 
 
 @dataclass

@@ -59,7 +59,11 @@ from repro.cost.model import AnalyticCostModel, CostModel
 from repro.errors import CompileFailedError, ConfigurationError
 from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler.elk import ElkOptions
-from repro.scheduler.profiles import OperatorProfile, build_operator_profiles
+from repro.scheduler.profiles import (
+    OperatorProfile,
+    build_operator_profiles,
+    count_new_signatures,
+)
 
 
 def _freeze(obj: object) -> Hashable:
@@ -197,13 +201,16 @@ class SessionStats:
     ``*_builds`` and ``compiles`` count real work; ``*_hits`` count cache
     reuse (``result_hits`` from the in-memory result cache, ``store_hits``
     from the on-disk artifact store).  ``store_puts`` counts artifacts this
-    session persisted.
+    session persisted.  ``frontier_builds`` counts operator frontiers
+    enumerated: one per distinct operator signature per (chip, enumeration
+    limits), however many layers and compiled shapes repeat it.
     """
 
     frontend_builds: int = 0
     frontend_hits: int = 0
     profile_builds: int = 0
     profile_hits: int = 0
+    frontier_builds: int = 0
     compiles: int = 0
     result_hits: int = 0
     store_hits: int = 0
@@ -305,6 +312,9 @@ class Session:
         self._lock = threading.Lock()
         self._frontends: dict[Hashable, FrontendResult] = {}
         self._profiles: dict[Hashable, list[OperatorProfile]] = {}
+        # Plan frontiers by operator signature, one memo per (chip, limits):
+        # every graph compiled for a chip shares its repeated operators.
+        self._frontier_memos: dict[Hashable, dict] = {}
         self._cost_models: dict[Hashable, CostModel] = {}
         self._results: dict[Hashable, CompileArtifact] = {}
 
@@ -404,6 +414,13 @@ class Session:
                 self.stats.profile_hits += 1
                 return cached
         frontend = self.frontend(workload, system)
+        graph = frontend.per_chip_graph
+        cost_model = self.cost_model(system.chip)
+        with self._lock:
+            memo = self._frontier_memos.setdefault(
+                (_freeze(system.chip), _freeze(limits)), {}
+            )
+        enumerated = count_new_signatures(graph, memo)
         tracer = self.tracer
         if tracer is not None:
             with tracer.span(
@@ -412,23 +429,16 @@ class Session:
                 model=workload.model_name,
             ) as attrs:
                 built = build_operator_profiles(
-                    frontend.per_chip_graph,
-                    system.chip,
-                    self.cost_model(system.chip),
-                    limits,
+                    graph, system.chip, cost_model, limits, memo
                 )
                 attrs["num_profiles"] = len(built)
         else:
-            built = build_operator_profiles(
-                frontend.per_chip_graph,
-                system.chip,
-                self.cost_model(system.chip),
-                limits,
-            )
+            built = build_operator_profiles(graph, system.chip, cost_model, limits, memo)
         with self._lock:
             winner = self._profiles.setdefault(key, built)
             if winner is built:
                 self.stats.profile_builds += 1
+            self.stats.frontier_builds += enumerated
         return winner
 
     # ---------------------------------------------------------------- compile
@@ -780,6 +790,7 @@ class Session:
         with self._lock:
             self._frontends.clear()
             self._profiles.clear()
+            self._frontier_memos.clear()
             self._cost_models.clear()
             self._results.clear()
             self.stats = SessionStats()

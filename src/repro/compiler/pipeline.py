@@ -9,7 +9,10 @@ baselines), and the timeline evaluator together behind one call:
 
 Per-operator profiles (plan enumeration + costing) are built once and shared
 across policies, which mirrors the paper's ablation setup where every design
-consumes the same single-operator partition plans (§6.1).
+consumes the same single-operator partition plans (§6.1).  Building them
+enumerates each distinct operator signature once, so repeated layers cost a
+rebind, not an enumeration; a :class:`~repro.api.service.Session` further
+shares those frontiers across every graph it compiles for one chip.
 """
 
 from __future__ import annotations
@@ -32,7 +35,11 @@ from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.plan import ExecutionPlan
 from repro.scheduler.preload_order import OrderSearchStats
-from repro.scheduler.profiles import OperatorProfile, build_operator_profiles
+from repro.scheduler.profiles import (
+    OperatorProfile,
+    build_operator_profiles,
+    count_new_signatures,
+)
 from repro.scheduler.timeline import TimelineEvaluator, TimelineResult
 
 #: Designs compared throughout the evaluation (§6.1), derived from the
@@ -166,6 +173,9 @@ class ModelCompiler:
                     category="compile",
                     model=self.workload.model_name,
                 ) as attrs:
+                    attrs["num_enumerated"] = count_new_signatures(
+                        frontend.per_chip_graph
+                    )
                     self._profiles = build_operator_profiles(
                         frontend.per_chip_graph,
                         self.chip,

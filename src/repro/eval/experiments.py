@@ -552,6 +552,11 @@ def compile_time_report(
     scheduling work.  Factories returning a shared or pre-warmed session
     would report cache-hit times and are the caller's responsibility to
     avoid.
+
+    ``projected_full_model_seconds`` scales the measured time linearly from
+    ``layers_compiled`` to the model's full depth.  It is an upper bound:
+    plan enumeration runs once per distinct operator signature, which is
+    flat in depth, so only the scheduling part of a compile grows with it.
     """
     system = ipu_pod4()
     if session_factory is None:

@@ -18,6 +18,7 @@ exist, mirroring §4.3 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from repro.errors import PartitionError
@@ -121,7 +122,7 @@ class ExecutePlan:
             raise PartitionError(f"{self.op_name}: plan uses no cores")
 
     # ------------------------------------------------------------------ memory
-    @property
+    @cached_property
     def exec_space_bytes(self) -> int:
         """Per-core SRAM needed while this operator executes (execution space)."""
         resident = sum(o.resident_bytes for o in self.operands)

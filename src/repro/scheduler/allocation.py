@@ -79,26 +79,6 @@ class _Candidate:
     def option(self):
         return self.frontier[self.position]
 
-    @property
-    def memory(self) -> int:
-        return self.option.memory_bytes
-
-    @property
-    def time(self) -> float:
-        return self.option.time_seconds
-
-    def next_step(self) -> tuple[int, float] | None:
-        """(memory saved, time added) by moving one step down the frontier."""
-        if self.position + 1 >= len(self.frontier):
-            return None
-        nxt = self.frontier[self.position + 1]
-        saved = self.memory - nxt.memory_bytes
-        added = nxt.time_seconds - self.time
-        return saved, added
-
-    def at_minimum(self) -> bool:
-        return self.position + 1 >= len(self.frontier)
-
 
 class MemoryAllocator:
     """The §4.3 greedy allocator.
@@ -150,33 +130,42 @@ class MemoryAllocator:
             profiles_by_index[profile.index] = profile
 
         candidates = [current_candidate] + preload_candidates
-
-        def total_memory() -> int:
-            return sum(c.memory for c in candidates)
+        total_memory = sum(c.option.memory_bytes for c in candidates)
 
         # Greedy walk: step the operator with the best space-saved / time-added
         # ratio until the footprint fits or no operator can shrink further.
-        while total_memory() > self.sram_budget:
-            best_index = -1
+        while total_memory > self.sram_budget:
+            best: _Candidate | None = None
             best_ratio = -1.0
-            for idx, candidate in enumerate(candidates):
-                step = candidate.next_step()
-                if step is None:
+            best_saved = 0
+            for candidate in candidates:
+                frontier = candidate.frontier
+                position = candidate.position
+                if position + 1 >= len(frontier):
                     continue
-                saved, added = step
+                option, nxt = frontier[position], frontier[position + 1]
+                saved = option.memory_bytes - nxt.memory_bytes
+                added = nxt.time_seconds - option.time_seconds
                 if saved <= 0:
                     ratio = float("inf") if added <= 0 else 0.0
                 else:
                     ratio = saved / max(added, 1e-12)
                 if ratio > best_ratio:
                     best_ratio = ratio
-                    best_index = idx
-            if best_index < 0:
+                    best = candidate
+                    best_saved = saved
+            if best is None:
                 return None
-            candidates[best_index].position += 1
+            best.position += 1
+            total_memory -= best_saved
 
         return self._build_result(
-            current, current_candidate, preload_candidates, execute_options, profiles_by_index
+            current,
+            current_candidate,
+            preload_candidates,
+            execute_options,
+            profiles_by_index,
+            total_memory,
         )
 
     # ----------------------------------------------------------------- internal
@@ -187,6 +176,7 @@ class MemoryAllocator:
         preload_candidates: Sequence[_Candidate],
         execute_options: dict[int, ExecuteOption],
         profiles_by_index: dict[int, OperatorProfile],
+        total_memory: int,
     ) -> AllocationResult:
         execute_option: ExecuteOption = current_candidate.option
         assignments: dict[int, PreloadAssignment] = {}
@@ -223,9 +213,6 @@ class MemoryAllocator:
         contention = max(0.0, link_time - execution_time)
         window_time = execution_time + contention
 
-        total_memory = current_candidate.memory + sum(
-            c.memory for c in preload_candidates
-        )
         return AllocationResult(
             execute_option=execute_option,
             execute_frontier_index=current_candidate.position,

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scheduler.allocation import MemoryAllocator
 
@@ -94,3 +96,62 @@ def test_greedy_tracks_exhaustive_optimum(allocator_parts, small_chip, small_cos
 def test_allocator_rejects_zero_budget(small_cost_model):
     with pytest.raises(Exception):
         MemoryAllocator(small_cost_model, 0, 5.5e9)
+
+
+def reference_walk(frontiers, budget):
+    """The §4.3 greedy walk written plainly: re-sum the footprint every step.
+
+    Returns the final frontier positions, or ``None`` if nothing fits.
+    """
+    positions = [0] * len(frontiers)
+
+    def footprint():
+        return sum(f[p].memory_bytes for f, p in zip(frontiers, positions))
+
+    while footprint() > budget:
+        best_index, best_ratio = -1, -1.0
+        for idx, (frontier, position) in enumerate(zip(frontiers, positions)):
+            if position + 1 >= len(frontier):
+                continue
+            saved = frontier[position].memory_bytes - frontier[position + 1].memory_bytes
+            added = frontier[position + 1].time_seconds - frontier[position].time_seconds
+            if saved <= 0:
+                ratio = float("inf") if added <= 0 else 0.0
+            else:
+                ratio = saved / max(added, 1e-12)
+            if ratio > best_ratio:
+                best_index, best_ratio = idx, ratio
+        if best_index < 0:
+            return None
+        positions[best_index] += 1
+    return positions
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_allocation_matches_reference_walk(data, small_cost_model, tiny_profiles):
+    current = data.draw(st.sampled_from(tiny_profiles))
+    preloaded = [
+        (profile, data.draw(st.sampled_from(profile.execute_frontier)))
+        for profile in data.draw(st.lists(st.sampled_from(tiny_profiles), max_size=5,
+                                          unique_by=lambda p: p.index))
+        if profile.index != current.index
+    ]
+    frontiers = [current.execute_frontier] + [
+        profile.preload_frontier(option.plan, small_cost_model)
+        for profile, option in preloaded
+    ]
+    fastest = sum(f[0].memory_bytes for f in frontiers)
+    smallest = sum(f[-1].memory_bytes for f in frontiers)
+    budget = data.draw(st.integers(max(1, smallest - 1024), fastest + 1024))
+    result = MemoryAllocator(small_cost_model, budget, 5.5e9).allocate(current, preloaded)
+    expected = reference_walk(frontiers, budget)
+    if expected is None:
+        assert result is None
+        return
+    assert result is not None
+    assert result.execute_frontier_index == expected[0]
+    assert [a.frontier_index for a in result.preload_assignments.values()] == expected[1:]
+    assert result.total_memory_bytes == sum(
+        f[p].memory_bytes for f, p in zip(frontiers, expected)
+    )

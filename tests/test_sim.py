@@ -1,5 +1,9 @@
 """Tests for the flow-level simulation engine and the chip simulator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
@@ -120,3 +124,34 @@ def test_system_simulation_adds_interchip_time(tiny_elk_result, pod4_system, tin
         result.chip_result.total_time + result.interchip_time
     )
     assert result.achieved_tflops > 0
+
+
+# --------------------------------------------------------------------------- #
+# Determinism across processes.
+# --------------------------------------------------------------------------- #
+_SIMULATE_IN_CHILD = """
+from repro.api import Session
+from repro.arch import ipu_pod4
+from repro.compiler import WorkloadSpec
+
+workload = WorkloadSpec("llama2-13b", batch_size=16, seq_len=2048, num_layers=2)
+artifact = Session().compile(workload, ipu_pod4(), policy="elk-dyn")
+print(repr(artifact.simulated))
+"""
+
+
+def test_simulated_step_independent_of_hash_seed():
+    # The engine used to sum served bytes while iterating a set of job ids,
+    # so noc_utilization followed PYTHONHASHSEED (seeds 0 and 1 differed in
+    # the last ulp on this workload).
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        child = subprocess.run(
+            [sys.executable, "-c", _SIMULATE_IN_CHILD],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    assert "SimulatedStep(" in outputs[0]
