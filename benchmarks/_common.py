@@ -9,20 +9,29 @@ the paper's sweep sizes; substantially slower).
 Store resolution, config digests, and the ``BENCH_*.json`` journal format
 all live in :mod:`repro.sweep.journal`; this module only binds them to the
 benchmarks' directories and scaled configuration.  The sweep-shaped
-benchmarks themselves run through :mod:`repro.sweep` specs.
+benchmarks themselves run through :mod:`repro.sweep` specs; the compile-grid
+figures (Figs. 17-24) load theirs from ``examples/sweeps/``.
 """
 
 from __future__ import annotations
 
 import os
+from collections import defaultdict
+from dataclasses import replace
 
 from repro.api.store import ArtifactStore
 from repro.eval import ExperimentConfig, make_session
-from repro.eval.reporting import save_results
+from repro.eval.reporting import geometric_mean, save_results
+from repro.sweep import SweepResult, SweepSpec, run_sweep
 from repro.sweep.journal import append_journal, config_digest, resolve_cache_dir
 
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 #: Directory where benchmark tables are persisted.
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
+RESULTS_DIR = os.path.join(_REPO_ROOT, "results")
+
+#: Checked-in sweep specs (the figure grids among them).
+SPECS_DIR = os.path.join(_REPO_ROOT, "examples", "sweeps")
 
 #: Whether to run the full (paper-sized) grids.
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
@@ -106,25 +115,55 @@ def report(name: str, title: str, rows, columns=None, session=SESSION) -> str:
     return text
 
 
-def summarize_speedups(rows) -> dict[str, float]:
-    """Geometric-mean speedup of elk-full over the other designs."""
-    from collections import defaultdict
+def figure_spec(name: str, **full_axes) -> SweepSpec:
+    """The checked-in ``examples/sweeps/<name>.json`` figure grid.
 
-    from repro.eval.reporting import geometric_mean
+    Under ``REPRO_BENCH_FULL=1`` the axes in ``full_axes`` replace the
+    spec's, and the compile depth and order search widen to
+    :data:`BENCH_CONFIG`'s.
+    """
+    spec = SweepSpec.load(os.path.join(SPECS_DIR, f"{name}.json"))
+    if not FULL:
+        return spec
+    fixed = {
+        **spec.fixed,
+        "num_layers": BENCH_CONFIG.num_layers,
+        "max_order_candidates": BENCH_CONFIG.max_order_candidates,
+    }
+    return replace(spec, axes={**spec.axes, **full_axes}, fixed=fixed)
 
-    by_workload = defaultdict(dict)
-    for row in rows:
-        if "latency_ms" not in row:
-            continue
-        key = (row.get("model"), row.get("batch_size"), row.get("seq_len"),
-               row.get("topology"), row.get("hbm_bandwidth_TBps"))
-        by_workload[key][row["policy"]] = row["latency_ms"]
+
+def run_figure(benchmark, spec: SweepSpec) -> SweepResult:
+    """Run one figure grid through the shared figure session and report it."""
+    result = benchmark.pedantic(
+        run_sweep,
+        args=(spec,),
+        kwargs=dict(session=SESSION, backend=BENCH_BACKEND),
+        rounds=1,
+        iterations=1,
+    )
+    assert result.ok, result.errors
+    report(spec.name, spec.description, result.rows, columns=spec.columns)
+    return result
+
+
+def summarize_speedups(result: SweepResult) -> dict[str, float]:
+    """Geometric-mean speedup of elk-full over the other designs.
+
+    Rows are paired by workload and by every sweep label except the policy.
+    """
+    labels = sorted(
+        {name for point in result.spec.points() for name in point.labels()} - {"policy"}
+    )
+    by_point = defaultdict(dict)
+    for row in result.rows:
+        key = tuple(row.get(name) for name in ("model", "batch_size", "seq_len", *labels))
+        by_point[key][row["policy"]] = row["latency_ms"]
     speedups = defaultdict(list)
-    for latencies in by_workload.values():
+    for latencies in by_point.values():
         if "elk-full" not in latencies:
             continue
         for policy, latency in latencies.items():
-            if policy == "elk-full":
-                continue
-            speedups[policy].append(latency / latencies["elk-full"])
+            if policy != "elk-full":
+                speedups[policy].append(latency / latencies["elk-full"])
     return {policy: geometric_mean(values) for policy, values in speedups.items()}

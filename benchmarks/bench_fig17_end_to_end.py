@@ -1,30 +1,13 @@
 """Figure 17: per-token serving latency of all designs across models/batches/sequences."""
 
-from _common import BENCH_CONFIG, FULL, SESSION, report, summarize_speedups
+from _common import figure_spec, run_figure, summarize_speedups
 
-from repro.eval import end_to_end_latency
-
-
-def _rows():
-    batch_sizes = (16, 32, 64) if FULL else (16, 32)
-    seq_lens = (2048, 4096) if FULL else (2048,)
-    return end_to_end_latency(
-        batch_sizes=batch_sizes, seq_lens=seq_lens, config=BENCH_CONFIG, session=SESSION
-    )
+SPEC = figure_spec("fig17_end_to_end", seq_len=(2048, 4096), batch_size=(16, 32, 64))
 
 
 def test_fig17_end_to_end_latency(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig17_end_to_end",
-        "Fig. 17: per-token serving latency (4 ICCA chips, 16 TB/s HBM)",
-        rows,
-        columns=[
-            "model", "batch_size", "seq_len", "policy", "latency_ms",
-            "hbm_utilization", "noc_utilization", "achieved_tflops",
-        ],
-    )
-    speedups = summarize_speedups(rows)
+    result = run_figure(benchmark, SPEC)
+    speedups = summarize_speedups(result)
     print(f"Geomean speedup of Elk-Full: {speedups}")
     # Shape checks against the paper: Elk-Full beats Basic clearly, is at
     # least on par with Static and Elk-Dyn, and stays below the Ideal roofline.

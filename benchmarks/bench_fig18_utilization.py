@@ -1,28 +1,12 @@
 """Figure 18: latency breakdown, HBM/NoC utilization, and achieved TFLOPS per design."""
 
-from _common import BENCH_CONFIG, SESSION, report
+from _common import figure_spec, run_figure
 
-from repro.eval import utilization_report
-
-
-def _rows():
-    return utilization_report(config=BENCH_CONFIG, session=SESSION)
+SPEC = figure_spec("fig18_utilization")
 
 
 def test_fig18_utilization(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig18_utilization",
-        "Fig. 18: breakdown (a), HBM utilization (b), NoC utilization (c), TFLOPS (d)",
-        rows,
-        columns=[
-            "model", "policy", "latency_ms",
-            "breakdown_preload_ms", "breakdown_execute_ms",
-            "breakdown_overlapped_ms", "breakdown_interconnect_ms",
-            "hbm_utilization", "noc_utilization", "noc_preload_fraction",
-            "achieved_tflops",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC).rows
     by_model: dict[str, dict[str, dict]] = {}
     for row in rows:
         by_model.setdefault(row["model"], {})[row["policy"]] = row

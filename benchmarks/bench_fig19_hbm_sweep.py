@@ -1,40 +1,27 @@
 """Figure 19: per-token latency at varied HBM bandwidths on both topologies."""
 
-from _common import BENCH_CONFIG, FULL, SESSION, report
+from _common import figure_spec, run_figure
 
-from repro.eval import hbm_bandwidth_sweep
-from repro.units import TB
+from repro.ir.models.registry import PAPER_LLM_NAMES
 
-
-def _rows():
-    models = ("llama2-13b", "llama2-70b") if not FULL else None
-    bandwidths = (4 * TB, 8 * TB, 16 * TB) if not FULL else (4 * TB, 8 * TB, 12 * TB, 16 * TB)
-    kwargs = {"hbm_bandwidths": bandwidths, "config": BENCH_CONFIG, "session": SESSION}
-    if models:
-        kwargs["models"] = models
-    return hbm_bandwidth_sweep(**kwargs)
+SPEC = figure_spec(
+    "fig19_hbm_sweep",
+    hbm_bandwidth_tbps=(4.0, 8.0, 12.0, 16.0),
+    model=PAPER_LLM_NAMES,
+)
 
 
 def test_fig19_hbm_bandwidth_sweep(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig19_hbm_sweep",
-        "Fig. 19: per-token latency vs HBM bandwidth (all-to-all and mesh)",
-        rows,
-        columns=[
-            "model", "topology", "hbm_bandwidth_TBps", "policy",
-            "latency_ms", "hbm_utilization", "noc_utilization",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC).rows
     # Trend check: for Elk-Full, more HBM bandwidth never hurts, and the
     # benefit of the last doubling is smaller than the first (diminishing returns).
     by_key: dict[tuple, list[dict]] = {}
     for row in rows:
-        if row["policy"] != "elk-full" or "latency_ms" not in row:
+        if row["policy"] != "elk-full":
             continue
         by_key.setdefault((row["model"], row["topology"]), []).append(row)
     for series in by_key.values():
-        series.sort(key=lambda r: r["hbm_bandwidth_TBps"])
+        series.sort(key=lambda r: r["hbm_bandwidth_tbps"])
         latencies = [r["latency_ms"] for r in series]
         assert latencies[-1] <= latencies[0] * 1.001
         if len(latencies) >= 3:

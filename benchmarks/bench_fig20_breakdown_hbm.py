@@ -1,33 +1,12 @@
 """Figure 20: Llama2-13B latency breakdown at varied HBM bandwidths (all-to-all)."""
 
-from _common import BENCH_CONFIG, SESSION, report
+from _common import figure_spec, run_figure
 
-from repro.eval import hbm_bandwidth_sweep
-from repro.units import TB
-
-
-def _rows():
-    return hbm_bandwidth_sweep(
-        models=("llama2-13b",),
-        hbm_bandwidths=(6 * TB, 10 * TB, 16 * TB),
-        topologies=("all_to_all",),
-        config=BENCH_CONFIG,
-        session=SESSION,
-    )
+SPEC = figure_spec("fig20_breakdown_hbm")
 
 
 def test_fig20_breakdown_vs_hbm_bandwidth(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig20_breakdown_hbm",
-        "Fig. 20: Llama2-13B latency breakdown vs HBM bandwidth (all-to-all)",
-        rows,
-        columns=[
-            "hbm_bandwidth_TBps", "policy", "latency_ms",
-            "breakdown_preload_ms", "breakdown_execute_ms",
-            "breakdown_overlapped_ms", "breakdown_interconnect_ms",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC).rows
     # Basic's non-overlapped preload share shrinks much less than Elk's as HBM
     # speeds up, because Basic cannot exploit the extra bandwidth.
     basic = [r for r in rows if r["policy"] == "basic"]

@@ -1,38 +1,19 @@
 """Figure 21: interconnect utilization at varied HBM bandwidths, both topologies."""
 
-from _common import BENCH_CONFIG, SESSION, report
+from _common import figure_spec, run_figure
 
-from repro.eval import hbm_bandwidth_sweep
-from repro.units import TB
-
-
-def _rows():
-    return hbm_bandwidth_sweep(
-        models=("llama2-13b", "gemma2-27b"),
-        hbm_bandwidths=(8 * TB, 16 * TB),
-        config=BENCH_CONFIG,
-        session=SESSION,
-    )
+SPEC = figure_spec("fig21_noc_util")
 
 
 def test_fig21_noc_utilization(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig21_noc_util",
-        "Fig. 21: interconnect utilization vs HBM bandwidth (all-to-all vs mesh)",
-        rows,
-        columns=[
-            "model", "topology", "hbm_bandwidth_TBps", "policy",
-            "noc_utilization", "hbm_utilization", "latency_ms",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC).rows
     # Mesh chips run their interconnect hotter than all-to-all chips at the
     # same HBM bandwidth (multi-hop HBM delivery), for the same design.
     paired: dict[tuple, dict[str, float]] = {}
     for row in rows:
-        if row["policy"] != "elk-full" or "noc_utilization" not in row:
+        if row["policy"] != "elk-full":
             continue
-        key = (row["model"], row["hbm_bandwidth_TBps"])
+        key = (row["model"], row["hbm_bandwidth_tbps"])
         paired.setdefault(key, {})[row["topology"]] = row["noc_utilization"]
     compared = 0
     for utils in paired.values():

@@ -1,43 +1,26 @@
 """Figure 22: Llama2-70B latency at varied interconnect bandwidths."""
 
-from _common import BENCH_CONFIG, FULL, SESSION, report
+from _common import figure_spec, run_figure
 
-from repro.eval import noc_bandwidth_sweep
-from repro.units import TB
-
-
-def _rows():
-    noc = (24 * TB, 32 * TB, 48 * TB) if not FULL else (24 * TB, 32 * TB, 40 * TB, 48 * TB)
-    hbm = (8 * TB, 16 * TB) if not FULL else (8 * TB, 12 * TB, 16 * TB)
-    return noc_bandwidth_sweep(
-        noc_bandwidths=noc,
-        hbm_bandwidths=hbm,
-        topologies=("all_to_all",) if not FULL else ("all_to_all", "mesh_2d"),
-        config=BENCH_CONFIG,
-        session=SESSION,
-    )
+SPEC = figure_spec(
+    "fig22_noc_sweep",
+    topology=("all_to_all", "mesh_2d"),
+    hbm_bandwidth_tbps=(8.0, 12.0, 16.0),
+    noc_bandwidth_tbps=(24.0, 32.0, 40.0, 48.0),
+)
 
 
 def test_fig22_noc_bandwidth_sweep(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig22_noc_sweep",
-        "Fig. 22: Llama2-70B latency vs total interconnect bandwidth",
-        rows,
-        columns=[
-            "topology", "hbm_bandwidth_TBps", "noc_bandwidth_TBps", "policy",
-            "latency_ms", "noc_utilization",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC).rows
     # With low HBM bandwidth, raising the NoC bandwidth brings little benefit
     # (HBM is the bottleneck); with high HBM bandwidth the NoC matters more.
-    elk = [r for r in rows if r["policy"] == "elk-full" and "latency_ms" in r]
+    elk = [r for r in rows if r["policy"] == "elk-full"]
     assert elk
     for row in elk:
         assert row["latency_ms"] > 0
     low_hbm = sorted(
-        (r for r in elk if r["hbm_bandwidth_TBps"] == 8.0),
-        key=lambda r: r["noc_bandwidth_TBps"],
+        (r for r in elk if r["hbm_bandwidth_tbps"] == 8.0),
+        key=lambda r: r["noc_bandwidth_tbps"],
     )
     if len(low_hbm) >= 2:
         gain = low_hbm[0]["latency_ms"] / low_hbm[-1]["latency_ms"]

@@ -1,37 +1,61 @@
-"""Figure 23: per-token latency at varied core counts (plus DiT-XL)."""
+"""Figure 23: per-token latency at varied core counts (plus DiT-XL).
 
-from _common import BENCH_CONFIG, FULL, SESSION, report
+HBM bandwidth scales with the chip at 2.7 GB/s per core.  The spec's grid
+is the full 1472-core chip; ``include`` entries add the smaller chips, each
+pairing ``cores_per_chip`` with its bandwidth, and DiT-XL on one chip at
+batch 8.
+"""
 
-from repro.eval import core_count_sweep
+from dataclasses import replace
+
+from _common import FULL, figure_spec, run_figure
+
+from repro.ir.models.registry import PAPER_LLM_NAMES
+from repro.units import GB, TB
+
+SPEC = figure_spec("fig23_core_sweep", model=PAPER_LLM_NAMES)
 
 
-def _rows():
-    models = ("llama2-13b", "llama2-70b", "dit-xl") if not FULL else None
-    counts = (736, 1472) if not FULL else (736, 1104, 1472)
-    kwargs = {"core_counts": counts, "config": BENCH_CONFIG, "session": SESSION}
-    if models:
-        kwargs["models"] = models
-    return core_count_sweep(**kwargs)
+def _point(model: str, cores: int, policy: str) -> dict:
+    if model == "dit-xl":
+        system = {"system": "single-chip", "batch_size": 8}
+        chips = 1
+    else:
+        system = {}
+        chips = 4
+    return {
+        "model": model,
+        **system,
+        "cores_per_chip": cores,
+        "hbm_bandwidth_tbps": 2.7 * GB * (cores * chips) / TB,
+        "policy": policy,
+    }
+
+
+if FULL:
+    SPEC = replace(
+        SPEC,
+        include=tuple(
+            _point(model, cores, policy)
+            for model, counts in (
+                *((llm, (736, 1104)) for llm in PAPER_LLM_NAMES),
+                ("dit-xl", (736, 1104, 1472)),
+            )
+            for cores in counts
+            for policy in SPEC.axes["policy"]
+        ),
+    )
 
 
 def test_fig23_core_count_sweep(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig23_core_sweep",
-        "Fig. 23: per-token latency vs core count (HBM at 2.7 GB/s per core)",
-        rows,
-        columns=[
-            "model", "cores_per_chip", "total_cores", "policy",
-            "latency_ms", "hbm_utilization", "achieved_tflops",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC).rows
     # Performance scales with the chip: more cores (and proportional HBM)
     # never slows Elk-Full down.
     series: dict[str, list[dict]] = {}
     for row in rows:
-        if row["policy"] != "elk-full" or "latency_ms" not in row:
+        if row["policy"] != "elk-full":
             continue
         series.setdefault(row["model"], []).append(row)
     for model, points in series.items():
-        points.sort(key=lambda r: r["total_cores"])
+        points.sort(key=lambda r: r["cores_per_chip"])
         assert points[-1]["latency_ms"] <= points[0]["latency_ms"] * 1.05, model

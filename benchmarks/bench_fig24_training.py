@@ -1,37 +1,23 @@
 """Figure 24: achieved TFLOPS for the Llama2-13B training forward pass."""
 
-from _common import BENCH_CONFIG, FULL, SESSION, report
+from _common import figure_spec, run_figure
 
-from repro.eval import training_flops_sweep
-
-
-def _rows():
-    return training_flops_sweep(
-        available_tflops=(500, 1000, 1500) if FULL else (500, 1500),
-        topologies=("all_to_all",) if not FULL else ("all_to_all", "mesh_2d"),
-        config=BENCH_CONFIG,
-        session=SESSION,
-    )
+SPEC = figure_spec(
+    "fig24_training",
+    topology=("all_to_all", "mesh_2d"),
+    matmul_tflops=(500.0, 1000.0, 1500.0),
+)
 
 
 def test_fig24_training_flops(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig24_training",
-        "Fig. 24: achieved TFLOPS during Llama2-13B training (forward pass)",
-        rows,
-        columns=[
-            "topology", "hbm_bandwidth_GBps", "noc_bandwidth_TBps",
-            "available_tflops", "policy", "achieved_tflops", "latency_ms",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC).rows
     # Training is compute-bound: achieved TFLOPS grows with available TFLOPS
     # even at modest (GB/s-class) HBM bandwidth — the paper's insight 4.
-    elk = [r for r in rows if r["policy"] == "elk-full" and "achieved_tflops" in r]
+    elk = [r for r in rows if r["policy"] == "elk-full"]
     by_setting: dict[tuple, list[dict]] = {}
     for row in elk:
-        key = (row["topology"], row["hbm_bandwidth_GBps"], row["noc_bandwidth_TBps"])
+        key = (row["topology"], row["hbm_bandwidth_tbps"], row["noc_bandwidth_tbps"])
         by_setting.setdefault(key, []).append(row)
     for points in by_setting.values():
-        points.sort(key=lambda r: r["available_tflops"])
+        points.sort(key=lambda r: r["matmul_tflops"])
         assert points[-1]["achieved_tflops"] >= points[0]["achieved_tflops"] * 1.1

@@ -7,12 +7,14 @@ each design point — reproducing the paper's §6.4 insights: HBM bandwidth
 helps decode until the interconnect becomes the bottleneck, and the two
 must scale together.
 
-The HBM-bandwidth sweep (insight 1) runs through the declarative
-:mod:`repro.sweep` harness — the same spec is checked in as
+The HBM-bandwidth sweep (insight 1) is a ``compile-grid`` sweep spec: the
+``ipu-pod4`` preset with its HBM bandwidth as an axis, checked in as
 ``examples/sweeps/dse_hbm_bandwidth.json`` for the CLI
-(``python -m repro.sweep run examples/sweeps/dse_hbm_bandwidth.json``) —
-while insights 2 and 3 stay on the explorer directly, sharing one compile
-session across all three studies.
+(``python -m repro.sweep run examples/sweeps/dse_hbm_bandwidth.json``).
+Insights 2 and 3 stay on :class:`~repro.dse.DesignSpaceExplorer`, which
+builds the same systems (:meth:`~repro.dse.DesignPoint.build_system`) and
+names the same bottleneck (:func:`~repro.dse.bottleneck`); one compile
+session is shared across all three studies.
 
 Run with::
 
@@ -30,10 +32,11 @@ from repro.units import TB
 
 HBM_SWEEP = SweepSpec(
     name="dse_hbm_bandwidth",
-    adapter="dse",
+    adapter="compile-grid",
     description="Insight 1: diminishing returns as HBM bandwidth grows",
     axes={"hbm_bandwidth_tbps": (4.0, 8.0, 16.0, 32.0)},
     fixed={
+        "system": "ipu-pod4",
         "model": "llama2-13b",
         "num_layers": 2,
         "batch_size": 32,
@@ -45,7 +48,7 @@ HBM_SWEEP = SweepSpec(
 
 def main() -> None:
     workload = WorkloadSpec("llama2-13b", batch_size=32, seq_len=2048, num_layers=2)
-    config = ExperimentConfig(num_layers=2, policies=("elk-full",), max_order_candidates=8)
+    config = ExperimentConfig(num_layers=2, max_order_candidates=8)
     explorer = DesignSpaceExplorer(workload, config)
 
     print("== Insight 1: HBM bandwidth sweep (all-to-all NoC) ==")

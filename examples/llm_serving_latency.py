@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """LLM serving: compare the designs across models and batch sizes (Fig. 17 style).
 
-Compiles two representative decoder layers of each LLM from the paper's
-evaluation (Llama2-13B, Gemma2-27B, OPT-30B, Llama2-70B) for the IPU-POD4-like
-system at several batch sizes, evaluates every design with the event-driven
-simulator, and prints the per-token latency table plus Elk-Full's speedups.
+Runs the Fig. 17 sweep spec (``examples/sweeps/fig17_end_to_end.json``): two
+representative decoder layers of each LLM from the paper's evaluation
+(Llama2-13B, Gemma2-27B, OPT-30B, Llama2-70B) compiled for the
+IPU-POD4-like system at several batch sizes, every design evaluated with the
+event-driven simulator.  Prints the per-token latency table plus Elk-Full's
+speedups.  The same grid runs from the CLI::
+
+    python -m repro.sweep run examples/sweeps/fig17_end_to_end.json
 
 Run with::
 
@@ -13,32 +17,24 @@ Run with::
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
 
-from repro.eval import ExperimentConfig, end_to_end_latency, format_table, geometric_mean
+from repro.eval import geometric_mean
+from repro.sweep import SweepSpec, run_sweep
+
+SPEC_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "sweeps", "fig17_end_to_end.json"
+)
 
 
 def main() -> None:
-    config = ExperimentConfig(
-        num_layers=2,
-        max_order_candidates=12,
-        policies=("basic", "static", "elk-dyn", "elk-full", "ideal"),
-    )
-    rows = end_to_end_latency(
-        models=("llama2-13b", "gemma2-27b", "opt-30b", "llama2-70b"),
-        batch_sizes=(16, 32),
-        seq_lens=(2048,),
-        config=config,
-    )
-    print(format_table(
-        rows,
-        columns=["model", "batch_size", "seq_len", "policy", "latency_ms",
-                 "hbm_utilization", "noc_utilization", "achieved_tflops"],
-    ))
+    result = run_sweep(SweepSpec.load(SPEC_PATH))
+    print(result.table())
 
     # Summarize Elk-Full against every other design.
     latencies: dict[tuple, dict[str, float]] = defaultdict(dict)
-    for row in rows:
+    for row in result.rows:
         if "latency_ms" in row:
             latencies[(row["model"], row["batch_size"])][row["policy"]] = row["latency_ms"]
     print("\nElk-Full speedups (geometric mean across workloads):")

@@ -198,6 +198,19 @@ class SystemConfig:
             ),
         )
 
+    def with_topology(self, topology: str) -> "SystemConfig":
+        """Return a copy whose chips use the ``topology`` on-chip network.
+
+        Link parameters are kept; preset names embed the topology, so it is
+        renamed in the system and chip names too.
+        """
+        old = self.chip.interconnect.topology
+        chip = replace(
+            self.chip.with_interconnect(replace(self.chip.interconnect, topology=topology)),
+            name=self.chip.name.replace(old, topology),
+        )
+        return replace(self, chip=chip, name=self.name.replace(old, topology))
+
     def with_cores_per_chip(self, num_cores: int) -> "SystemConfig":
         """Return a copy with a different per-chip core count."""
         return replace(self, chip=self.chip.with_num_cores(num_cores))

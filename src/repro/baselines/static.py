@@ -73,9 +73,21 @@ class StaticCompiler:
         # smallest plan (it fits the full budget by construction).
         return profile.smallest
 
-    def _build_plan(
+    def build_plan(
         self, preload_fraction: float, use_max_preload: bool, model_name: str
     ) -> ExecutionPlan:
+        """One static split: the plan for a fixed preload share of SRAM.
+
+        Args:
+            preload_fraction: Share of each core's usable SRAM reserved for
+                preloading; the rest is the execution space.
+            use_max_preload: Preload each operator with its largest preload
+                option (MaxPreload) instead of its smallest (MinPreload).
+            model_name: Name recorded on the plan.
+
+        :meth:`plan` searches these splits; the Figs. 7/8 study builds one
+        split of each mode directly.
+        """
         exec_budget = int(self.sram_budget * (1.0 - preload_fraction))
         preload_budget = self.sram_budget - exec_budget
 
@@ -133,7 +145,7 @@ class StaticCompiler:
         for fraction in self.options.preload_fractions:
             for use_max in (True, False):
                 try:
-                    candidate = self._build_plan(fraction, use_max, model_name)
+                    candidate = self.build_plan(fraction, use_max, model_name)
                     timeline = evaluator.evaluate(candidate)
                 except SchedulingError:
                     continue

@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 from repro.api import Session
 from repro.arch.chip import SystemConfig
-from repro.arch.interconnect import ALL_TO_ALL
 from repro.arch.presets import ipu_pod4
 from repro.compiler.frontend import WorkloadSpec
 from repro.errors import ElkError
@@ -30,26 +29,36 @@ from repro.units import TB
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """One architecture configuration in the design space.
+    """One architecture configuration, applied over a base system.
+
+    Every attribute left at its default keeps the base system's value.
 
     Attributes:
-        topology: On-chip network topology.
+        topology: On-chip network topology (``None`` keeps the base's).
         hbm_bandwidth: Total HBM bandwidth across the system, bytes/s.
-        noc_bandwidth: Total interconnect bandwidth across the system, bytes/s
-            (0 keeps the preset's value).
-        cores_per_chip: Cores per chip (0 keeps the preset's value).
-        matmul_tflops: System MatMul throughput in TFLOP/s (0 keeps preset).
+        noc_bandwidth: Total interconnect bandwidth across the system,
+            bytes/s.
+        cores_per_chip: Cores per chip.
+        matmul_tflops: System MatMul throughput in TFLOP/s.
     """
 
-    topology: str = ALL_TO_ALL
-    hbm_bandwidth: float = 16 * TB
+    topology: str | None = None
+    hbm_bandwidth: float = 0.0
     noc_bandwidth: float = 0.0
     cores_per_chip: int = 0
     matmul_tflops: float = 0.0
 
-    def build_system(self) -> SystemConfig:
-        """Materialize the system configuration of this design point."""
-        system = ipu_pod4(topology=self.topology, hbm_total_bandwidth=self.hbm_bandwidth)
+    def build_system(self, base: SystemConfig | None = None) -> SystemConfig:
+        """This design point applied over ``base`` (default: :func:`ipu_pod4`).
+
+        The NoC and MatMul totals scale per-core values, so they apply after
+        the core count.
+        """
+        system = base or ipu_pod4()
+        if self.topology is not None:
+            system = system.with_topology(self.topology)
+        if self.hbm_bandwidth:
+            system = system.with_total_hbm_bandwidth(self.hbm_bandwidth)
         if self.cores_per_chip:
             system = system.with_cores_per_chip(self.cores_per_chip)
         if self.noc_bandwidth:
@@ -64,7 +73,7 @@ class DesignPoint:
 
         Bandwidths arrive in TB/s (``hbm_bandwidth_tbps`` /
         ``noc_bandwidth_tbps``) so spec files stay in human units; absent
-        keys keep the dataclass defaults.
+        keys keep the base system's values.
         """
         kwargs: dict = {}
         if "topology" in config:
@@ -78,6 +87,21 @@ class DesignPoint:
         if "matmul_tflops" in config:
             kwargs["matmul_tflops"] = float(config["matmul_tflops"])
         return cls(**kwargs)
+
+
+def bottleneck(row: Mapping[str, object]) -> str:
+    """The resource bounding a design, from its row's utilizations.
+
+    ``"hbm"`` or ``"interconnect"`` when that resource runs at 60% or more
+    (HBM wins a tie), ``"compute"`` otherwise.
+    """
+    hbm_util = float(row["hbm_utilization"])
+    noc_util = float(row["noc_utilization"])
+    if hbm_util >= max(noc_util, 0.6):
+        return "hbm"
+    if noc_util >= 0.6:
+        return "interconnect"
+    return "compute"
 
 
 @dataclass
@@ -99,21 +123,6 @@ class DesignPointResult:
     noc_utilization: float
     achieved_tflops: float
     bottleneck: str
-
-    def row(self) -> dict[str, object]:
-        """Flat result-table row (the design axes plus the evaluation)."""
-        return {
-            "topology": self.point.topology,
-            "hbm_bandwidth_tbps": self.point.hbm_bandwidth / TB,
-            "noc_bandwidth_tbps": self.point.noc_bandwidth / TB,
-            "cores_per_chip": self.point.cores_per_chip,
-            "matmul_tflops": self.point.matmul_tflops,
-            "latency_ms": self.latency * 1e3,
-            "hbm_utilization": self.hbm_utilization,
-            "noc_utilization": self.noc_utilization,
-            "achieved_tflops": self.achieved_tflops,
-            "bottleneck": self.bottleneck,
-        }
 
 
 class DesignSpaceExplorer:
@@ -146,21 +155,13 @@ class DesignSpaceExplorer:
             make_request(self.workload, system, self.policy, self.config)
         )
         row = evaluate_artifact(artifact)
-        hbm_util = float(row.get("hbm_utilization", 0.0))
-        noc_util = float(row.get("noc_utilization", 0.0))
-        if hbm_util >= max(noc_util, 0.6):
-            bottleneck = "hbm"
-        elif noc_util >= 0.6:
-            bottleneck = "interconnect"
-        else:
-            bottleneck = "compute"
         return DesignPointResult(
             point=point,
             latency=float(row["latency_ms"]) / 1e3,
-            hbm_utilization=hbm_util,
-            noc_utilization=noc_util,
-            achieved_tflops=float(row.get("achieved_tflops", 0.0)),
-            bottleneck=bottleneck,
+            hbm_utilization=float(row["hbm_utilization"]),
+            noc_utilization=float(row["noc_utilization"]),
+            achieved_tflops=float(row["achieved_tflops"]),
+            bottleneck=bottleneck(row),
         )
 
     def sweep(self, points: Sequence[DesignPoint]) -> list[DesignPointResult]:

@@ -2,10 +2,11 @@
 
 Every grid-shaped study in this repo — rate × policy serving sweeps,
 fleet × router cluster sweeps, crash × retry chaos grids, cold compile-time
-measurement, design-space exploration — is the same shape: expand named
-axes over seeds on top of a fixed config, execute each point through one
-shared compile session, and journal schema-versioned rows.  This package
-is that shape, once:
+measurement, and the workload × system × policy compile grids behind the
+paper's Figs. 17-24 and its design-space study — is the same shape:
+expand named axes over seeds on top of a fixed config, execute each point
+through one shared compile session, and journal schema-versioned rows.
+This package is that shape, once:
 
 * :class:`SweepSpec` — the declarative grid (JSON round-trip, file-able).
 * :mod:`~repro.sweep.adapters` — named execution paths

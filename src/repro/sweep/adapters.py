@@ -3,8 +3,8 @@
 An adapter is the thin translation layer between a declarative point
 configuration (plain JSON values from a :class:`~repro.sweep.spec.SweepSpec`)
 and one of the repo's execution paths — the serving simulator, the cluster
-fleet, the chaos harness, cold compile timing, a raw compile grid, or the
-DSE explorer.  Adapters register by name, mirroring
+fleet, the chaos harness, cold compile timing, or the compile grid behind
+the paper's sensitivity figures.  Adapters register by name, mirroring
 :mod:`repro.compiler.registry`, so new sweep families plug in without
 touching the runner:
 
@@ -57,22 +57,19 @@ class RunContext:
         cold_sessions: Extra sessions created by adapters that must compile
             cold (e.g. compile-time measurement); the runner folds their
             stats into the result.
-        scratch: Free-form per-run adapter state (e.g. memoized explorers).
     """
 
     session: Session
     backend: str
     compiled_shapes: set = field(default_factory=set)
     cold_sessions: list[Session] = field(default_factory=list)
-    scratch: dict = field(default_factory=dict)
 
 
 class SweepAdapter(abc.ABC):
     """One registered execution path for sweep points.
 
     Subclasses are instantiated fresh per run, so they may keep state on
-    ``self`` (prefer :attr:`RunContext.scratch` for anything the tests or
-    benches need to see).
+    ``self``.
     """
 
     name: ClassVar[str] = ""
@@ -230,29 +227,41 @@ class ProbeAdapter(SweepAdapter):
 class CompileGridAdapter(SweepAdapter):
     """Compile each point's workload and report its metrics.
 
+    Config keys: the workload (``model``, ``batch_size``, ``seq_len``,
+    ``phase``, ``num_layers``), ``policy``, the Elk search bounds
+    (``max_preload_ahead``, ``max_order_candidates``), ``system`` (a preset
+    name) and the :class:`~repro.dse.DesignPoint` knobs applied over that
+    preset (``topology``, ``hbm_bandwidth_tbps``, ``noc_bandwidth_tbps``,
+    ``cores_per_chip``, ``matmul_tflops``).  This is the one grid path: the
+    paper's Figs. 17-24 and the §6.4 design-space study are specs of it.
+
     The whole grid is prefetched through one ``compile_many`` fan-out (the
     run's thread or process backend), so points only read cached artifacts.
     Rows carry the metrics recorded on the artifact (simulated for
-    plan-bearing policies, analytic for rooflines) — never wall times —
-    which keeps same-seed rows bit-identical across backends and across
-    cold/warm stores.
+    plan-bearing policies, analytic for rooflines) and the design's
+    :func:`~repro.dse.bottleneck` — never wall times — which keeps same-seed
+    rows bit-identical across backends and across cold/warm stores.
     """
 
     description = "workload x system x policy compile grid, simulated metrics"
 
     def _request(self, config: Mapping[str, object]) -> CompileRequest:
         from repro.compiler.frontend import WorkloadSpec
+        from repro.dse.explorer import DesignPoint
         from repro.eval.experiments import make_request
 
         exp = _experiment_config(config)
+        phase = {"phase": str(config["phase"])} if "phase" in config else {}
         workload = WorkloadSpec(
             str(config.get("model", "tiny-llm")),
             batch_size=int(config.get("batch_size", exp.batch_size)),
             seq_len=int(config.get("seq_len", exp.seq_len)),
             num_layers=exp.num_layers,
+            **phase,
         )
-        system = resolve_system(str(config.get("system", "scaled")))
-        assert system is not None
+        system = DesignPoint.from_config(config).build_system(
+            resolve_system(str(config.get("system", "scaled")))
+        )
         return make_request(workload, system, str(config.get("policy", "elk-full")), exp)
 
     def prefetch(self, configs, ctx):
@@ -265,11 +274,13 @@ class CompileGridAdapter(SweepAdapter):
         return requests
 
     def run_point(self, config, ctx):
+        from repro.dse.explorer import bottleneck
         from repro.eval.experiments import evaluate_artifact
 
         artifact = ctx.session.compile(self._request(config))
         row = evaluate_artifact(artifact)
         row.pop("compile_seconds", None)  # wall time would break bit-identity
+        row["bottleneck"] = bottleneck(row)
         return row
 
 
@@ -480,75 +491,3 @@ class CompileTimeAdapter(SweepAdapter):
             session_factory=cold_session,
         )
         return rows[0]
-
-
-# --------------------------------------------------------------------------- #
-# dse: design-space exploration points through the shared session.
-# --------------------------------------------------------------------------- #
-@register_adapter("dse")
-class DseAdapter(SweepAdapter):
-    """Evaluate one :class:`~repro.dse.DesignPoint` per sweep point.
-
-    Config keys: the design-point axes (``topology``,
-    ``hbm_bandwidth_tbps``, ``noc_bandwidth_tbps``, ``cores_per_chip``,
-    ``matmul_tflops``) plus the workload (``model``, ``batch_size``,
-    ``seq_len``, ``num_layers``, ``max_order_candidates``) and ``policy``.
-    Design points are judged by the simulated step each artifact records,
-    so a warm store reports exactly what the cold run did.
-    """
-
-    description = "architecture design-space points via the DSE explorer"
-
-    def prefetch(self, configs, ctx):
-        from repro.dse.explorer import DesignPoint
-        from repro.eval.experiments import make_request
-
-        requests = []
-        for config in configs:
-            try:
-                point = DesignPoint.from_config(config)
-                explorer = self._explorer(config, ctx)
-                requests.append(
-                    make_request(
-                        explorer.workload,
-                        point.build_system(),
-                        explorer.policy,
-                        explorer.config,
-                    )
-                )
-            except Exception:
-                continue
-        return requests
-
-    def _explorer(self, config: Mapping[str, object], ctx: RunContext):
-        from repro.compiler.frontend import WorkloadSpec
-        from repro.dse.explorer import DesignSpaceExplorer
-
-        exp = _experiment_config(config)
-        workload = WorkloadSpec(
-            str(config.get("model", "llama2-13b")),
-            batch_size=exp.batch_size,
-            seq_len=exp.seq_len,
-            num_layers=exp.num_layers,
-        )
-        key = (
-            "dse-explorer",
-            str(config.get("model", "llama2-13b")),
-            str(config.get("policy", "elk-full")),
-            config_digest(exp),
-        )
-        if key not in ctx.scratch:
-            ctx.scratch[key] = DesignSpaceExplorer(
-                workload,
-                exp,
-                policy=str(config.get("policy", "elk-full")),
-                session=ctx.session,
-            )
-        return ctx.scratch[key]
-
-    def run_point(self, config, ctx):
-        from repro.dse.explorer import DesignPoint
-
-        explorer = self._explorer(config, ctx)
-        result = explorer.evaluate_point(DesignPoint.from_config(config))
-        return result.row()

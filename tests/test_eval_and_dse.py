@@ -8,7 +8,6 @@ from repro.compiler import WorkloadSpec
 from repro.dse import DesignPoint, DesignSpaceExplorer
 from repro.eval import (
     ExperimentConfig,
-    compare_policies,
     cost_model_accuracy,
     format_table,
     geometric_mean,
@@ -17,28 +16,37 @@ from repro.eval import (
     memory_occupancy_trace,
     save_results,
 )
+from repro.sweep import SweepSpec, run_sweep
 from repro.units import TB
 
 FAST_CONFIG = ExperimentConfig(
     num_layers=1,
     batch_size=4,
     seq_len=256,
-    policies=("basic", "elk-full", "ideal"),
     max_order_candidates=4,
 )
 
+#: The designs of one workload on the 32-core ``scaled`` system.
+POLICY_GRID = SweepSpec(
+    name="policy_grid",
+    adapter="compile-grid",
+    axes={"policy": ("basic", "elk-full", "ideal")},
+    fixed={
+        "model": "tiny-llm", "batch_size": 4, "seq_len": 256, "num_layers": 1,
+        "max_order_candidates": 4, "system": "scaled",
+    },
+)
 
-def test_compare_policies_produces_rows(small_system):
-    workload = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=1)
-    rows = compare_policies(workload, small_system, FAST_CONFIG)
-    assert {row["policy"] for row in rows} == set(FAST_CONFIG.policies)
+
+def test_compare_policies_produces_rows():
+    rows = run_sweep(POLICY_GRID).rows
+    assert {row["policy"] for row in rows} == set(POLICY_GRID.axes["policy"])
     for row in rows:
         assert row.get("latency_ms", 0) > 0 or "error" in row
 
 
-def test_policy_rows_keep_ideal_fastest(small_system):
-    workload = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=1)
-    rows = {r["policy"]: r for r in compare_policies(workload, small_system, FAST_CONFIG)}
+def test_policy_rows_keep_ideal_fastest():
+    rows = {r["policy"]: r for r in run_sweep(POLICY_GRID).rows}
     assert rows["ideal"]["latency_ms"] <= rows["elk-full"]["latency_ms"] * 1.001
     assert rows["elk-full"]["latency_ms"] <= rows["basic"]["latency_ms"] * 1.05
 

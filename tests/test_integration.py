@@ -3,13 +3,12 @@ qualitative claims on a scaled configuration."""
 
 import pytest
 
-from repro.arch import ipu_pod4, mesh_pod4
+from repro.arch import ipu_pod4
 from repro.codegen import DeviceRuntime, generate_device_program
 from repro.compiler import ModelCompiler, WorkloadSpec
 from repro.emu import EmulationFramework
-from repro.eval import ExperimentConfig, compare_policies
 from repro.sim import simulate_system
-from repro.units import TB
+from repro.sweep import SweepSpec, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -85,28 +84,31 @@ def test_emulator_agrees_with_plan_estimates(llama_pod4_results):
     assert emulated.total_time == pytest.approx(planned, rel=0.6)
 
 
+def _llama_elk_full(axis: str, values: tuple) -> list[dict]:
+    """Elk-Full rows of one Llama2-13B decode layer, one per ``axis`` value."""
+    spec = SweepSpec(
+        name="llama_elk_full",
+        adapter="compile-grid",
+        axes={axis: values},
+        fixed={
+            "model": "llama2-13b", "batch_size": 16, "seq_len": 1024,
+            "num_layers": 1, "policy": "elk-full", "max_order_candidates": 4,
+            "system": "ipu-pod4",
+        },
+    )
+    return run_sweep(spec).rows
+
+
 def test_mesh_topology_end_to_end():
     """The mesh NoC compiles and is no faster than all-to-all (Fig. 19)."""
-    config = ExperimentConfig(
-        num_layers=1, batch_size=16, seq_len=1024,
-        policies=("elk-full",), max_order_candidates=4,
-    )
-    workload = WorkloadSpec("llama2-13b", batch_size=16, seq_len=1024, num_layers=1)
-    a2a = compare_policies(workload, ipu_pod4(), config)[0]
-    mesh = compare_policies(workload, mesh_pod4(), config)[0]
+    a2a, mesh = _llama_elk_full("system", ("ipu-pod4", "mesh-pod4"))
     assert a2a["latency_ms"] > 0 and mesh["latency_ms"] > 0
     assert mesh["latency_ms"] >= a2a["latency_ms"] * 0.9
 
 
 def test_higher_hbm_bandwidth_helps_decode():
     """Raising HBM bandwidth reduces decode latency (Fig. 19 trend)."""
-    config = ExperimentConfig(
-        num_layers=1, batch_size=16, seq_len=1024,
-        policies=("elk-full",), max_order_candidates=4,
-    )
-    workload = WorkloadSpec("llama2-13b", batch_size=16, seq_len=1024, num_layers=1)
-    slow = compare_policies(workload, ipu_pod4(hbm_total_bandwidth=4 * TB), config)[0]
-    fast = compare_policies(workload, ipu_pod4(hbm_total_bandwidth=16 * TB), config)[0]
+    slow, fast = _llama_elk_full("hbm_bandwidth_tbps", (4.0, 16.0))
     assert fast["latency_ms"] < slow["latency_ms"]
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ArtifactStore, frozen_key
+from repro.api import ArtifactStore, Session, frozen_key
+from repro.arch import ipu_pod4, single_chip
 from repro.errors import ConfigurationError
 from repro.sweep import (
     JOURNAL_SCHEMA_VERSION,
@@ -31,7 +33,13 @@ from repro.sweep import (
     unregister_adapter,
     validate_journal,
 )
+from repro.sweep.adapters import RunContext, get_adapter
 from repro.sweep.cli import main as sweep_cli
+from repro.units import GB, TB
+
+SPECS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples", "sweeps"
+)
 
 # --------------------------------------------------------------------------- #
 # Hypothesis strategies: small grids of JSON scalars with unique axis values.
@@ -347,14 +355,14 @@ COMPILE_GRID = SweepSpec(
 )
 
 
-#: Simulator rows through the DSE explorer (its default ipu_pod4 system).
+#: Simulator rows of the design-space study: HBM knobs over ``ipu-pod4``.
 DSE_GRID = SweepSpec(
     name="dse_det",
-    adapter="dse",
+    adapter="compile-grid",
     axes={"hbm_bandwidth_tbps": (8.0, 16.0)},
     fixed={
         "model": "tiny-llm", "batch_size": 8, "seq_len": 256, "num_layers": 1,
-        "max_order_candidates": 4,
+        "max_order_candidates": 4, "system": "ipu-pod4",
     },
 )
 
@@ -369,8 +377,8 @@ def test_same_seed_thread_rerun_bit_identical():
 def test_thread_vs_process_backend_bit_identical():
     """The process pool ships artifacts back serialized; rows must not move.
 
-    The DSE grid reads simulated steps, which must cross the process
-    boundary with the artifact.
+    Both grids read simulated steps, which must cross the process boundary
+    with the artifact; the DSE grid also applies system knobs.
     """
     for spec in (COMPILE_GRID, DSE_GRID):
         threaded = run_sweep(spec, backend="thread")
@@ -378,6 +386,85 @@ def test_thread_vs_process_backend_bit_identical():
         assert threaded.ok and processed.ok, (threaded.errors, processed.errors)
         assert threaded.rows == processed.rows, spec.name
         assert threaded.backend == "thread" and processed.backend == "process"
+
+
+def _figure_runner_system(figure: str, config: dict):
+    """The system the fig19-fig24 loops built by hand for one point."""
+    topology = config.get("topology", "all_to_all")
+    hbm = config.get("hbm_bandwidth_tbps")
+    if figure in ("fig19_hbm_sweep", "fig20_breakdown_hbm", "fig21_noc_util"):
+        return ipu_pod4(topology=topology, hbm_total_bandwidth=hbm * TB)
+    if figure == "fig22_noc_sweep":
+        return ipu_pod4(
+            topology=topology, hbm_total_bandwidth=hbm * TB
+        ).with_total_interconnect_bandwidth(config["noc_bandwidth_tbps"] * TB)
+    if figure == "fig23_core_sweep":
+        cores = config["cores_per_chip"]
+        if config.get("system") == "single-chip":
+            system = single_chip(num_cores=cores)
+        else:
+            system = ipu_pod4().with_cores_per_chip(cores)
+        return system.with_total_hbm_bandwidth(2.7 * GB * system.total_cores)
+    assert figure == "fig24_training"
+    hbm_gbps = round(hbm * 1000)
+    return (
+        ipu_pod4(topology=topology, hbm_total_bandwidth=hbm_gbps * GB)
+        .with_total_interconnect_bandwidth(config["noc_bandwidth_tbps"] * TB)
+        .with_matmul_tflops(config["matmul_tflops"])
+    )
+
+
+def _unnamed(system):
+    return replace(system, name="", chip=replace(system.chip, name=""))
+
+
+#: Knob values the figure benches add under REPRO_BENCH_FULL=1.
+_FULL_AXES = {
+    "fig19_hbm_sweep": {"hbm_bandwidth_tbps": (4.0, 8.0, 12.0, 16.0)},
+    "fig22_noc_sweep": {
+        "topology": ("all_to_all", "mesh_2d"),
+        "hbm_bandwidth_tbps": (8.0, 12.0, 16.0),
+        "noc_bandwidth_tbps": (24.0, 32.0, 40.0, 48.0),
+    },
+    "fig24_training": {
+        "topology": ("all_to_all", "mesh_2d"),
+        "matmul_tflops": (500.0, 1000.0, 1500.0),
+    },
+}
+_FULL_INCLUDE = {
+    "fig23_core_sweep": (
+        {"model": "llama2-13b", "cores_per_chip": 1104,
+         "hbm_bandwidth_tbps": 2.7 * GB * (1104 * 4) / TB},
+        {"model": "dit-xl", "system": "single-chip", "batch_size": 8,
+         "cores_per_chip": 1104, "hbm_bandwidth_tbps": 2.7 * GB * 1104 / TB},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "figure",
+    ["fig19_hbm_sweep", "fig20_breakdown_hbm", "fig21_noc_util",
+     "fig22_noc_sweep", "fig23_core_sweep", "fig24_training"],
+)
+def test_compile_grid_builds_the_figure_runner_systems(figure):
+    """compile-grid's system for every figure point equals the old runner's.
+
+    Cheap (no compile): the adapter only builds requests.  Names may differ
+    (``with_cores_per_chip`` tags the chip), every other field must not.
+    """
+    spec = SweepSpec.load(os.path.join(SPECS_DIR, f"{figure}.json"))
+    spec = replace(
+        spec,
+        axes={**spec.axes, **_FULL_AXES.get(figure, {})},
+        include=spec.include + _FULL_INCLUDE.get(figure, ()),
+    )
+    configs = [dict(point.config) for point in spec.points()]
+    ctx = RunContext(session=Session(), backend="thread")
+    requests = get_adapter("compile-grid").prefetch(configs, ctx)
+    assert len(requests) == len(configs)
+    for config, request in zip(configs, requests):
+        expected = _figure_runner_system(figure, config)
+        assert _unnamed(request.system) == _unnamed(expected), config
 
 
 def test_serving_sweep_cold_vs_warm_store_bit_identical(tmp_path):
