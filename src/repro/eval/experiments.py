@@ -327,7 +327,10 @@ def compile_time_report(
     config: ExperimentConfig = DEFAULT_CONFIG,
     session_factory: Callable[[], Session] | None = None,
 ) -> list[dict[str, object]]:
-    """Elk-Full compile time for varied models and batch sizes.
+    """Elk-Full compile time of each model at its full depth, per batch size.
+
+    Every model compiles all of its layers (``config.num_layers`` is not
+    read), so ``compile_seconds`` is the measured time of the whole model.
 
     Unlike the other runners this one does *not* accept a shared session:
     the measured quantity is COLD compile time, so ``session_factory`` is
@@ -336,11 +339,6 @@ def compile_time_report(
     scheduling work.  Factories returning a shared or pre-warmed session
     would report cache-hit times and are the caller's responsibility to
     avoid.
-
-    ``projected_full_model_seconds`` scales the measured time linearly from
-    ``layers_compiled`` to the model's full depth.  It is an upper bound:
-    plan enumeration runs once per distinct operator signature, which is
-    flat in depth, so only the scheduling part of a compile grows with it.
     """
     system = ipu_pod4()
     if session_factory is None:
@@ -349,21 +347,20 @@ def compile_time_report(
     for model in models:
         for batch in batch_sizes:
             workload = WorkloadSpec(
-                model, batch_size=batch, seq_len=config.seq_len, num_layers=config.num_layers
+                model,
+                batch_size=batch,
+                seq_len=config.seq_len,
+                num_layers=get_config(model).num_layers,
             )
             artifact = session_factory().compile(
                 make_request(workload, system, "elk-full", config)
             )
-            elapsed = artifact.compile_seconds
-            layers = get_config(model).num_layers if not model.startswith("tiny") else config.num_layers
-            scale = layers / max(1, config.num_layers)
             rows.append(
                 {
                     "model": model,
                     "batch_size": batch,
-                    "layers_compiled": config.num_layers,
-                    "compile_seconds": elapsed,
-                    "projected_full_model_seconds": elapsed * scale,
+                    "num_layers": artifact.num_layers,
+                    "compile_seconds": artifact.compile_seconds,
                     "orders_evaluated": artifact.search_stats["num_candidate_orders"]
                     if artifact.search_stats
                     else 1,

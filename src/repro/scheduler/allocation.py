@@ -6,6 +6,15 @@ execution space and the preload spaces.  It starts from every operator's
 fastest (largest) plan and greedily steps the most "cost-effective" operator —
 the one whose next-smaller Pareto plan frees the most memory per unit of added
 time — down its frontier until the total footprint fits (Fig. 11).
+
+:meth:`MemoryAllocator.allocate` is two steps.  :meth:`MemoryAllocator.walk`
+is the greedy walk: it reads only the memory and time of frontier points and
+returns one position per frontier.  :meth:`MemoryAllocator.materialize` binds
+those positions to the operators' plans and builds the
+:class:`AllocationResult`.  Operators with equal signatures have equal
+frontiers, so a walk's positions hold for any operators with the same
+frontiers in the same order; the inductive scheduler memoizes the walk on
+that and materializes only the preload number it chooses.
 """
 
 from __future__ import annotations
@@ -67,19 +76,6 @@ class AllocationResult:
     preload_overhead_penalty: float = 0.0
 
 
-@dataclass
-class _Candidate:
-    """Internal: one operator's walk position along its Pareto frontier."""
-
-    key: int  # operator index; the current operator uses its own index
-    frontier: Sequence  # sequence of ExecuteOption or PreloadOption
-    position: int = 0
-
-    @property
-    def option(self):
-        return self.frontier[self.position]
-
-
 class MemoryAllocator:
     """The §4.3 greedy allocator.
 
@@ -119,28 +115,41 @@ class MemoryAllocator:
             The allocation, or ``None`` if even the smallest plans of every
             operator exceed the SRAM budget (the preload number is infeasible).
         """
-        current_candidate = _Candidate(key=current.index, frontier=current.execute_frontier)
-        preload_candidates: list[_Candidate] = []
-        execute_options: dict[int, ExecuteOption] = {}
-        profiles_by_index: dict[int, OperatorProfile] = {}
-        for profile, execute_option in preloaded:
-            frontier = profile.preload_frontier(execute_option.plan, self.cost_model)
-            preload_candidates.append(_Candidate(key=profile.index, frontier=frontier))
-            execute_options[profile.index] = execute_option
-            profiles_by_index[profile.index] = profile
+        positions = self.walk(self.frontiers(current, preloaded))
+        if positions is None:
+            return None
+        return self.materialize(current, preloaded, positions)
 
-        candidates = [current_candidate] + preload_candidates
-        total_memory = sum(c.option.memory_bytes for c in candidates)
+    def frontiers(
+        self,
+        current: OperatorProfile,
+        preloaded: Sequence[tuple[OperatorProfile, ExecuteOption]],
+    ) -> list[Sequence[ExecuteOption] | Sequence[PreloadOption]]:
+        """The frontiers the walk steps along: the current operator's execute
+        frontier first, then each preloaded operator's preload frontier."""
+        return [current.execute_frontier] + [
+            profile.preload_frontier(execute_option.plan, self.cost_model)
+            for profile, execute_option in preloaded
+        ]
 
-        # Greedy walk: step the operator with the best space-saved / time-added
-        # ratio until the footprint fits or no operator can shrink further.
+    def walk(self, frontiers: Sequence[Sequence]) -> list[int] | None:
+        """The greedy walk: one position per frontier, or ``None`` if nothing fits.
+
+        Starts every operator at its fastest (largest) plan and steps the one
+        with the best space-saved / time-added ratio until the footprint fits
+        or no operator can shrink further.  The first strictly better ratio
+        wins a tie, so the walk depends on the order of ``frontiers``.  It
+        reads only ``memory_bytes`` and ``time_seconds``, which is what lets
+        :class:`~repro.scheduler.inductive.InductiveScheduler` memoize it.
+        """
+        positions = [0] * len(frontiers)
+        total_memory = sum(frontier[0].memory_bytes for frontier in frontiers)
         while total_memory > self.sram_budget:
-            best: _Candidate | None = None
+            best = -1
             best_ratio = -1.0
             best_saved = 0
-            for candidate in candidates:
-                frontier = candidate.frontier
-                position = candidate.position
+            for k, frontier in enumerate(frontiers):
+                position = positions[k]
                 if position + 1 >= len(frontier):
                     continue
                 option, nxt = frontier[position], frontier[position + 1]
@@ -152,75 +161,83 @@ class MemoryAllocator:
                     ratio = saved / max(added, 1e-12)
                 if ratio > best_ratio:
                     best_ratio = ratio
-                    best = candidate
+                    best = k
                     best_saved = saved
-            if best is None:
+            if best < 0:
                 return None
-            best.position += 1
+            positions[best] += 1
             total_memory -= best_saved
+        return positions
 
-        return self._build_result(
-            current,
-            current_candidate,
-            preload_candidates,
-            execute_options,
-            profiles_by_index,
-            total_memory,
-        )
+    def window(self, execute_option: ExecuteOption) -> tuple[float, float]:
+        """``(execution_time, contention_time)`` of the current operator's window.
 
-    # ----------------------------------------------------------------- internal
-    def _build_result(
-        self,
-        current: OperatorProfile,
-        current_candidate: _Candidate,
-        preload_candidates: Sequence[_Candidate],
-        execute_options: dict[int, ExecuteOption],
-        profiles_by_index: dict[int, OperatorProfile],
-        total_memory: int,
-    ) -> AllocationResult:
-        execute_option: ExecuteOption = current_candidate.option
-        assignments: dict[int, PreloadAssignment] = {}
-        distribution_total = 0.0
-        preload_noc_bytes = 0
-        overhead_penalty = 0.0
-        # Squeezing the current operator below its fastest plan is also a cost
-        # paid because of the chosen preload number.
-        overhead_penalty += (
-            current_candidate.option.time_seconds
-            - current_candidate.frontier[0].time_seconds
-        )
-        for candidate in preload_candidates:
-            option: PreloadOption = candidate.option
-            assignments[candidate.key] = PreloadAssignment(
-                profile=profiles_by_index[candidate.key],
-                execute_option=execute_options[candidate.key],
-                option=option,
-                frontier_index=candidate.position,
-            )
-            distribution_total += option.distribution_time
-            preload_noc_bytes += option.plan.preload_noc_bytes_per_core
-            overhead_penalty += option.overhead_time - candidate.frontier[0].overhead_time
-
+        First-order interconnect contention: the execution window's per-core
+        inbound link carries the current operator's exchange traffic; the
+        preload deliveries are spread over many execution windows, so they
+        are accounted globally by the timeline replay rather than charged to
+        this single window (charging them here would spuriously punish
+        larger preload numbers).
+        """
         execution_time = execute_option.cost.total_time
-        # First-order interconnect contention: the execution window's per-core
-        # inbound link carries the current operator's exchange traffic; the
-        # preload deliveries are spread over many execution windows, so they
-        # are accounted globally by the timeline replay rather than charged to
-        # this single window (charging them here would spuriously punish
-        # larger preload numbers).
         own_bytes = execute_option.cost.exchange_bytes
         link_time = own_bytes / self.link_bandwidth if self.link_bandwidth > 0 else 0.0
-        contention = max(0.0, link_time - execution_time)
-        window_time = execution_time + contention
+        return execution_time, max(0.0, link_time - execution_time)
 
+    @staticmethod
+    def overhead_penalty(frontiers: Sequence[Sequence], positions: Sequence[int]) -> float:
+        """Overhead of the walked plans over every operator's fastest plan.
+
+        Squeezing the current operator (``frontiers[0]``) below its fastest
+        plan counts its added time; each preloaded operator counts the extra
+        overhead of its preload plan over its MaxPreload plan.
+        """
+        current = frontiers[0]
+        penalty = 0.0
+        penalty += current[positions[0]].time_seconds - current[0].time_seconds
+        for frontier, position in zip(frontiers[1:], positions[1:]):
+            penalty += frontier[position].overhead_time - frontier[0].overhead_time
+        return penalty
+
+    def materialize(
+        self,
+        current: OperatorProfile,
+        preloaded: Sequence[tuple[OperatorProfile, ExecuteOption]],
+        positions: Sequence[int],
+    ) -> AllocationResult:
+        """The :class:`AllocationResult` of walked ``positions``.
+
+        ``positions`` index ``current``'s execute frontier and each preloaded
+        operator's own preload frontier, in the order :meth:`frontiers` lists
+        them, so positions walked on an equal operator's frontiers bind to
+        these operators' plans.
+        """
+        frontiers = self.frontiers(current, preloaded)
+        execute_option: ExecuteOption = frontiers[0][positions[0]]
+        assignments: dict[int, PreloadAssignment] = {}
+        total_memory = execute_option.memory_bytes
+        distribution_total = 0.0
+        for (profile, option_of_execute), frontier, position in zip(
+            preloaded, frontiers[1:], positions[1:]
+        ):
+            option: PreloadOption = frontier[position]
+            assignments[profile.index] = PreloadAssignment(
+                profile=profile,
+                execute_option=option_of_execute,
+                option=option,
+                frontier_index=position,
+            )
+            total_memory += option.memory_bytes
+            distribution_total += option.distribution_time
+        execution_time, contention = self.window(execute_option)
         return AllocationResult(
             execute_option=execute_option,
-            execute_frontier_index=current_candidate.position,
+            execute_frontier_index=positions[0],
             preload_assignments=assignments,
             total_memory_bytes=total_memory,
             execution_time=execution_time,
             distribution_time_total=distribution_total,
             contention_time=contention,
-            window_time=window_time,
-            preload_overhead_penalty=overhead_penalty,
+            window_time=execution_time + contention,
+            preload_overhead_penalty=self.overhead_penalty(frontiers, positions),
         )

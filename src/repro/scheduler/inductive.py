@@ -12,18 +12,41 @@ The induction is parameterized by a *preload order* (a permutation of the
 operators): the operators overlapped with operator ``i``'s execution are the
 next ones in preload order that are not yet on chip, which is how the §4.4
 preload-order permutation plugs into the same scheduling pass.
+
+Scheduling once per distinct allocation.  The allocator walk reads only the
+frontiers of the current operator and of each preloaded operator at its
+chosen execute plan, and repeated layers repeat those frontiers.  One
+scheduler therefore memoizes the walk, across every preload order it is
+given and every layer of the model, keyed by the current operator's
+:func:`~repro.scheduler.profiles.operator_signature` class followed by one
+integer per preloaded operator: its signature class times a stride plus
+its execute-frontier index.  The key keeps the preload order, because the
+walk's strict ``>`` tie-break depends on it.  A memo entry holds only
+positions and floats (the window time, the preload-overhead penalty and the
+walked frontier positions), so a hit binds by position to whatever
+operators now hold those positions, never to the names of the operators
+that first produced it.  Preload numbers are compared on those floats
+alone; only the chosen one is materialized into an
+:class:`~repro.scheduler.allocation.AllocationResult`.  The memo lives as
+long as the scheduler, which :class:`~repro.scheduler.elk.ElkScheduler`
+builds once per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.cost.model import CostModel
 from repro.errors import SchedulingError
-from repro.scheduler.allocation import AllocationResult, MemoryAllocator, PreloadAssignment
+from repro.scheduler.allocation import MemoryAllocator, PreloadAssignment
 from repro.scheduler.plan import ExecutionPlan, OperatorSchedule, make_schedule
-from repro.scheduler.profiles import ExecuteOption, OperatorProfile, PreloadOption
+from repro.scheduler.profiles import (
+    ExecuteOption,
+    OperatorProfile,
+    PreloadOption,
+    operator_signature,
+)
 
 
 @dataclass
@@ -46,18 +69,28 @@ class _Decision:
 
     preload_number: int = 0
     execute_option: ExecuteOption | None = None
-    allocation: AllocationResult | None = None
+    execute_index: int = 0
     exec_start: float = 0.0
     exec_end: float = 0.0
     preload_start: float = 0.0
     preload_end: float = 0.0
 
 
+#: A memoized allocator walk: ``None`` if the allocation is infeasible, else
+#: ``(window_time, preload_overhead_penalty, execute_position,
+#: *preload_positions)``.  One flat tuple keeps thousands of entries small.
+_Walk = tuple | None
+
+
 class InductiveScheduler:
     """Backward-induction scheduler over a fixed preload order.
 
     Args:
-        profiles: Per-operator planning profiles, in execution order.
+        profiles: Per-operator planning profiles, in execution order.  Profiles
+            with equal :func:`~repro.scheduler.profiles.operator_signature`
+            must have equal frontiers, as
+            :func:`~repro.scheduler.profiles.build_operator_profiles` builds
+            them.
         cost_model: Cost model shared with the allocator.
         sram_budget_bytes: Per-core SRAM available to execution + preload spaces.
         link_bandwidth: Per-core interconnect port bandwidth.
@@ -79,6 +112,15 @@ class InductiveScheduler:
         self.sram_budget = sram_budget_bytes
         self.options = options or SchedulerOptions()
         self.allocator = MemoryAllocator(cost_model, sram_budget_bytes, link_bandwidth)
+        # Operators with equal signatures share a class; a preloaded operator
+        # enters a memo key as ``class * stride + execute-frontier index``.
+        classes: dict[Hashable, int] = {}
+        self._classes = [
+            classes.setdefault(operator_signature(profile.op), len(classes))
+            for profile in self.profiles
+        ]
+        self._stride = max(len(profile.execute_frontier) for profile in self.profiles)
+        self._walks: dict[tuple[int, ...], _Walk] = {}
 
     # ------------------------------------------------------------------ helpers
     def _position_frontiers(self, order: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -107,6 +149,27 @@ class InductiveScheduler:
         frontier = profile.preload_frontier(execute_option.plan, self.cost_model)
         return frontier[0]
 
+    def _walk(
+        self, key: tuple[int, ...], current: OperatorProfile, preloaded: list
+    ) -> _Walk:
+        """The allocator walk of ``current`` with ``preloaded``, memoized on
+        ``key`` (see the module docstring)."""
+        try:
+            return self._walks[key]
+        except KeyError:
+            pass
+        allocator = self.allocator
+        frontiers = allocator.frontiers(current, preloaded)
+        positions = allocator.walk(frontiers)
+        if positions is None:
+            walk = None
+        else:
+            execution_time, contention = allocator.window(frontiers[0][positions[0]])
+            penalty = allocator.overhead_penalty(frontiers, positions)
+            walk = (execution_time + contention, penalty, *positions)
+        self._walks[key] = walk
+        return walk
+
     # ---------------------------------------------------------------- scheduling
     def schedule(self, preload_order: Sequence[int] | None = None) -> ExecutionPlan:
         """Produce an execution plan for the given preload order.
@@ -128,6 +191,9 @@ class InductiveScheduler:
             raise SchedulingError("preload order must be a permutation of the operators")
         pos, q = self._position_frontiers(order)
 
+        profiles = self.profiles
+        classes = self._classes
+        stride = self._stride
         decisions: list[_Decision] = [_Decision() for _ in range(n)]
         preload_assignments: dict[int, PreloadAssignment] = {}
         max_ahead = (
@@ -135,29 +201,34 @@ class InductiveScheduler:
         )
 
         for i in range(n - 1, -1, -1):
-            profile = self.profiles[i]
-            executed = set(range(i + 1))
-            resident_base = [j for j in order[: q[i]] if j not in executed]
-
-            best: tuple[float, int, AllocationResult] | None = None
+            profile = profiles[i]
+            # Operators preloaded before i executes and not executed by then,
+            # then the candidates to overlap with i, in preload order.
+            resident = [j for j in order[: q[i]] if j > i]
+            resident_count = len(resident)
+            preloaded = []
+            key = (classes[i],)
+            best: tuple[float, int, tuple, float] | None = None
             for p in range(0, min(max_ahead, n - q[i]) + 1):
-                overlapped = order[q[i]: q[i] + p]
-                resident = resident_base + overlapped
-                preloaded = [
-                    (self.profiles[j], decisions[j].execute_option) for j in resident
-                ]
-                if any(option is None for _, option in preloaded):
-                    raise SchedulingError(
-                        "internal error: resident operator scheduled out of order"
-                    )
-                allocation = self.allocator.allocate(profile, preloaded)
-                if allocation is None:
+                if p:
+                    resident.append(order[q[i] + p - 1])
+                for j in resident[len(preloaded):]:
+                    decision = decisions[j]
+                    if decision.execute_option is None:
+                        raise SchedulingError(
+                            "internal error: resident operator scheduled out of order"
+                        )
+                    preloaded.append((profiles[j], decision.execute_option))
+                    key += (classes[j] * stride + decision.execute_index,)
+                walk = self._walk(key, profile, preloaded)
+                if walk is None:
                     if p == 0:
                         raise SchedulingError(
                             f"operator {profile.op.name!r} cannot fit per-core SRAM "
                             f"({self.sram_budget} bytes) even without overlapped preloads"
                         )
                     break  # adding more preloads only increases the footprint
+                window_time, penalty = walk[0], walk[1]
 
                 # Latest feasible end of operator i's execution (Theorem 4.2).
                 end_candidates = [0.0 if i + 1 >= n else decisions[i + 1].exec_start]
@@ -165,29 +236,33 @@ class InductiveScheduler:
                 if boundary < n:
                     end_candidates.append(decisions[order[boundary]].preload_start)
                 exec_end = min(end_candidates)
-                exec_start = exec_end - allocation.window_time
+                exec_start = exec_end - window_time
                 # The score penalizes preload numbers that only fit by pushing
                 # the overlapped operators (or this one) onto slower plans;
                 # that overhead is paid later on the timeline even though it
                 # does not delay this operator's own start.
-                score = exec_start - allocation.preload_overhead_penalty
+                score = exec_start - penalty
                 # Ties favour the larger preload number: the backward model's
                 # preload times are as-late-as-possible estimates, so when two
                 # preload numbers look equal the larger one keeps the HBM
                 # busier in the forward replay at no estimated cost.
                 if best is None or score >= best[0] - 1e-12:
-                    best = (score, p, allocation, exec_start)
+                    best = (score, p, walk, exec_start)
 
             assert best is not None
-            _, p, allocation, exec_start = best
+            _, p, walk, exec_start = best
+            # Only the chosen preload number is materialized: the memoized
+            # positions bind to these operators' own frontiers.
+            allocation = self.allocator.materialize(
+                profile, preloaded[: resident_count + p], walk[2:]
+            )
             decision = decisions[i]
             decision.preload_number = p
             decision.execute_option = allocation.execute_option
-            decision.allocation = allocation
+            decision.execute_index = allocation.execute_frontier_index
             decision.exec_start = exec_start
             decision.exec_end = exec_start + allocation.window_time
-            for op_index, assignment in allocation.preload_assignments.items():
-                preload_assignments[op_index] = assignment
+            preload_assignments.update(allocation.preload_assignments)
 
             # Schedule operator i's preload to finish right before whichever
             # comes first: its own execution or the next preload in order.

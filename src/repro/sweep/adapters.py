@@ -463,9 +463,10 @@ class ChaosAdapter(ClusterAdapter):
 # --------------------------------------------------------------------------- #
 @register_adapter("compile-time")
 class CompileTimeAdapter(SweepAdapter):
-    """Measure COLD compile time per point (the fig16 study).
+    """Measure COLD full-depth compile time per point (the fig16 study).
 
-    Deliberately bypasses the sweep-wide shared session: compile time must
+    Each point compiles its model at full depth (``num_layers`` is not
+    read).  Deliberately bypasses the sweep-wide shared session: compile time must
     cover the full frontend + profile + scheduling work, so each point gets
     a fresh session — all of them backed by the run's shared store, which is
     what lets a warm run resolve every workload from disk (reporting the

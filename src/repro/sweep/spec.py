@@ -128,7 +128,8 @@ class SweepSpec:
         fixed: Configuration shared by every point (axes override it).
         include: Explicit extra point configurations appended after the
             grid, each merged over ``fixed`` (matrix-``include`` style); an
-            entry may pin its own ``"seed"``.
+            entry may pin its own ``"seed"``.  With no axes, the include
+            entries are the whole spec: there is no fixed-only grid point.
         columns: Preferred report column order (empty = derive from rows).
         description: One-line summary for ``python -m repro.sweep list``.
     """
@@ -205,7 +206,13 @@ class SweepSpec:
     # ---------------------------------------------------------------- points
     @property
     def grid_size(self) -> int:
-        """Points per seed in the pure axis grid (1 for no axes)."""
+        """Points per seed in the pure axis grid.
+
+        With no axes that is one fixed-only point, or none when ``include``
+        lists the points.
+        """
+        if not self.axes and self.include:
+            return 0
         size = 1
         for values in self.axes.values():
             size *= len(values)
@@ -225,7 +232,7 @@ class SweepSpec:
         points in the same order, which is what makes same-seed journal rows
         comparable across runs.
         """
-        combos: list[dict[str, object]] = [{}]
+        combos: list[dict[str, object]] = [{}] if self.grid_size else []
         for name, values in self.axes.items():
             combos = [
                 {**combo, name: value} for combo in combos for value in values

@@ -1,14 +1,19 @@
-"""The signature memo of ``build_operator_profiles``.
+"""The signature memos of the compile path.
 
 Profiles are built once per distinct operator signature and rebound to each
-repeat's names.  These tests pin that the memo changes cost, never results:
+repeat's names, and an :class:`InductiveScheduler` runs the allocator walk
+once per distinct walk input.  These tests pin that the memos change cost,
+never results:
 
 * a Hypothesis differential test against a test-local reference that
   enumerates, costs and Pareto-filters every operator on its own;
 * enumeration count flat in model depth;
 * a session sharing frontiers across compiled shapes;
 * the ``partition-enumeration`` span reporting the dedup, deterministically;
-* concurrent builds through one session's shared memo.
+* concurrent builds through one session's shared memo;
+* a Hypothesis differential of the memoized scheduler against a test-local
+  scheduler that calls the allocator for every (operator, preload number);
+* one allocator walk per distinct walk input on gemma2-27b.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +32,14 @@ import repro.scheduler.profiles as profiles_module
 from repro.api import Session
 from repro.arch import ipu_pod4
 from repro.compiler import ModelCompiler, WorkloadSpec
-from repro.errors import ElkError
+from repro.errors import ElkError, SchedulingError
 from repro.ir.models.registry import DIT_CONFIGS, available_models
 from repro.obs import Tracer, to_jsonl
 from repro.partition.enumerate import enumerate_execute_plans
 from repro.partition.pareto import frontier_from_plans
 from repro.partition.plan import enumerate_preload_plans
-from repro.scheduler.profiles import ExecuteOption, count_new_signatures
+from repro.scheduler import ElkScheduler, InductiveScheduler, MemoryAllocator, SchedulerOptions
+from repro.scheduler.profiles import ExecuteOption, count_new_signatures, operator_signature
 
 #: One session for every example, so later examples hit frontiers that
 #: earlier graphs (other models, phases and shapes) put in its memo.
@@ -185,3 +192,178 @@ def test_concurrent_builds_share_one_memo_safely():
     assert all(text == expected[w] for w, text in got)
     # A race may enumerate one signature twice, never skip one.
     assert session.stats.frontier_builds >= sequential.stats.frontier_builds
+
+
+def reference_schedule(scheduler, order, on_allocate=None):
+    """The inductive pass with one un-memoized ``allocate`` per (operator, p).
+
+    ``on_allocate(current, preloaded)`` sees every allocator call.
+    """
+    profiles = scheduler.profiles
+    n = len(profiles)
+    pos, q = scheduler._position_frontiers(order)
+    decisions = [
+        SimpleNamespace(
+            preload_number=0, execute_option=None, exec_start=0.0, preload_start=0.0
+        )
+        for _ in range(n)
+    ]
+    assignments = {}
+    ahead = scheduler.options.max_preload_ahead
+    max_ahead = n if ahead is None else ahead
+    for i in range(n - 1, -1, -1):
+        profile = profiles[i]
+        best = None
+        for p in range(min(max_ahead, n - q[i]) + 1):
+            resident = [j for j in order[: q[i]] if j > i] + list(order[q[i]: q[i] + p])
+            preloaded = [(profiles[j], decisions[j].execute_option) for j in resident]
+            if on_allocate is not None:
+                on_allocate(profile, preloaded)
+            allocation = scheduler.allocator.allocate(profile, preloaded)
+            if allocation is None:
+                if p == 0:
+                    raise SchedulingError(
+                        f"operator {profile.op.name!r} cannot fit per-core SRAM "
+                        f"({scheduler.sram_budget} bytes) even without overlapped preloads"
+                    )
+                break
+            exec_end = 0.0 if i + 1 >= n else decisions[i + 1].exec_start
+            if q[i] + p < n:
+                exec_end = min(exec_end, decisions[order[q[i] + p]].preload_start)
+            exec_start = exec_end - allocation.window_time
+            score = exec_start - allocation.preload_overhead_penalty
+            if best is None or score >= best[0] - 1e-12:
+                best = (score, p, allocation, exec_start)
+        _, p, allocation, exec_start = best
+        decision = decisions[i]
+        decision.preload_number = p
+        decision.execute_option = allocation.execute_option
+        decision.exec_start = exec_start
+        assignments.update(allocation.preload_assignments)
+        preload_option = (
+            assignments[i].option
+            if i in assignments
+            else scheduler._default_preload_option(profile, allocation.execute_option)
+        )
+        preload_end = exec_start
+        if pos[i] + 1 < n and order[pos[i] + 1] > i:
+            preload_end = min(preload_end, decisions[order[pos[i] + 1]].preload_start)
+        decision.preload_start = preload_end - max(profile.hbm_time, preload_option.noc_time)
+    return scheduler._build_plan(list(order), decisions, assignments)
+
+
+def make_scheduler(profiles, max_preload_ahead=None, sram_fraction=1.0):
+    chip = SYSTEM.chip
+    return InductiveScheduler(
+        profiles,
+        SESSION.cost_model(chip),
+        int(chip.per_core_usable_sram * sram_fraction),
+        chip.core.link_bandwidth,
+        SchedulerOptions(max_preload_ahead=max_preload_ahead),
+    )
+
+
+@st.composite
+def preload_orders(draw, n):
+    """Execution order, a few swaps of it, or any permutation of ``range(n)``."""
+    order = list(range(n))
+    kind = draw(st.sampled_from(("identity", "swaps", "permutation")))
+    if kind == "permutation":
+        return draw(st.permutations(order))
+    if kind == "swaps":
+        for _ in range(draw(st.integers(1, 4))):
+            a = draw(st.integers(0, n - 1))
+            b = draw(st.integers(a, min(n - 1, a + 4)))
+            order[a], order[b] = order[b], order[a]
+    return order
+
+
+@given(workload=workloads(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_memoized_schedule_equals_unmemoized_reference(workload, data):
+    try:
+        profiles = SESSION.profiles(workload, SYSTEM)
+    except ElkError:
+        return  # the shape does not fit; the profile differential covers it
+    scheduler = make_scheduler(
+        profiles,
+        data.draw(st.one_of(st.none(), st.integers(0, 6)), label="ahead"),
+        # Less SRAM pushes operators off their fastest execute plans, so memo
+        # keys differ in execute-frontier indices too.
+        data.draw(st.sampled_from((1.0, 0.7, 0.4, 0.25)), label="sram_fraction"),
+    )
+    # Several orders through one scheduler: later ones hit walks memoized by
+    # earlier ones, as the candidate orders of one ElkScheduler.run do.
+    for _ in range(data.draw(st.integers(1, 3), label="orders")):
+        order = data.draw(preload_orders(len(profiles)), label="order")
+        try:
+            expected = repr(reference_schedule(scheduler, order))
+        except SchedulingError as error:
+            with pytest.raises(SchedulingError, match=re.escape(str(error))):
+                scheduler.schedule(order)
+            continue
+        assert repr(scheduler.schedule(order)) == expected
+
+
+def test_memo_keys_on_execute_frontier_index():
+    # At 70% SRAM some opt-30b operators are preloaded with execute plans
+    # other than their fastest; a memo key without the execute-frontier
+    # index gives this order a different plan.
+    profiles = SESSION.profiles(WorkloadSpec("opt-30b", 4, 512, num_layers=3), SYSTEM)
+    order = list(range(len(profiles)))
+    scheduler = make_scheduler(profiles, sram_fraction=0.7)
+    expected = reference_schedule(make_scheduler(profiles, sram_fraction=0.7), order)
+    assert repr(scheduler.schedule(order)) == repr(expected)
+    stride = scheduler._stride
+    assert any(code % stride for key in scheduler._walks for code in key[1:])
+
+
+def test_one_allocator_walk_per_distinct_input(monkeypatch):
+    workload = WorkloadSpec("gemma2-27b", batch_size=16, seq_len=4096, num_layers=2)
+    graph = SESSION.frontend(workload, SYSTEM).per_chip_graph
+    profiles = SESSION.profiles(workload, SYSTEM)
+    elk = ElkScheduler(graph, SYSTEM.chip, SESSION.cost_model(SYSTEM.chip), profiles=profiles)
+    orders = elk.order_generator().candidate_orders()
+
+    # Every (operator, preload number) the un-memoized pass allocates for,
+    # keyed by what the walk reads: signatures and execute-frontier indices.
+    inputs = []
+
+    def record(current, preloaded):
+        inputs.append(
+            (
+                operator_signature(current.op),
+                tuple(
+                    (operator_signature(p.op), p.execute_frontier.index(option))
+                    for p, option in preloaded
+                ),
+            )
+        )
+
+    reference = make_scheduler(profiles)
+    expected = {}
+    for order in orders:
+        try:
+            expected[order] = repr(reference_schedule(reference, order, record))
+        except SchedulingError:
+            pass
+
+    walks = []
+    real_walk = MemoryAllocator.walk
+
+    def counting_walk(self, frontiers):
+        walks.append(len(frontiers))
+        return real_walk(self, frontiers)
+
+    monkeypatch.setattr(MemoryAllocator, "walk", counting_walk)
+    memoized = make_scheduler(profiles)
+    for order in orders:
+        try:
+            plan = memoized.schedule(order)
+        except SchedulingError:
+            assert order not in expected
+            continue
+        assert repr(plan) == expected[order]
+    assert len(walks) == len(set(inputs))
+    # Most inputs repeat (21,676 calls over 6,118 inputs when written).
+    assert len(walks) * 3 < len(inputs)

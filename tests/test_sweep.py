@@ -75,19 +75,20 @@ _includes = st.lists(
 @settings(max_examples=50, deadline=None)
 @given(axes=_axes, seeds=_seeds, fixed=_fixed, include=_includes)
 def test_expansion_count_and_uniqueness(axes, seeds, fixed, include):
-    """Point count is seeds × (axis product + includes); keys don't collide.
+    """Point count is seeds × (grid + includes); keys don't collide.
 
-    Duplicate point keys are possible only if an include entry reproduces a
-    grid point exactly — the strategies here never do, so every expanded
-    point must be structurally distinct and the count must be the exact
-    product formula.
+    The grid is the axis product; with no axes it is one fixed-only point,
+    or none when include entries list the points.  Duplicate point keys are
+    possible only if an include entry reproduces a grid point exactly — the
+    strategies here never do, so every expanded point must be structurally
+    distinct and the count must be the exact product formula.
     """
     spec = SweepSpec(
         name="prop", adapter="probe",
         axes=axes, seeds=tuple(seeds), fixed=fixed, include=tuple(include),
     )
     points = spec.points()
-    expected_grid = 1
+    expected_grid = 0 if not axes and include else 1
     for values in axes.values():
         expected_grid *= len(values)
     assert spec.grid_size == expected_grid
@@ -97,6 +98,18 @@ def test_expansion_count_and_uniqueness(axes, seeds, fixed, include):
     # repeats a configuration: every axis combo is structurally distinct.
     grid_keys = {p.key() for p in points[:expected_grid]}
     assert len(grid_keys) == expected_grid
+
+
+def test_include_only_spec_has_no_fixed_only_point():
+    spec = SweepSpec(
+        name="inc", adapter="probe",
+        fixed={"model": "tiny-llm"}, include=({"policy": "ideal"},),
+    )
+    (point,) = spec.points()
+    assert point.values == {"policy": "ideal"}
+    assert point.config == {"model": "tiny-llm", "policy": "ideal", "seed": 0}
+    (fixed_only,) = SweepSpec(name="fixed", adapter="probe", fixed={"x": 1}).points()
+    assert fixed_only.values == {} and fixed_only.config == {"x": 1, "seed": 0}
 
 
 @settings(max_examples=50, deadline=None)
